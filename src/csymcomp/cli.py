@@ -316,9 +316,17 @@ def _suite_final(b: complex, c: complex, a: complex, n: int) -> list[dict]:
 
 def cmd_verify(args) -> int:
     n = args.truncation
-    a = parse_complex(args.a)
-    b = parse_complex(args.b)
-    c = parse_complex(args.c)
+    if n < 1:
+        print(f"error: --truncation must be positive, got {n}", file=sys.stderr)
+        return 1
+    params = {}
+    for name in ("a", "b", "c"):
+        try:
+            params[name] = parse_complex(getattr(args, name))
+        except ValueError:
+            print(f"error: --{name} is not a complex number: {getattr(args, name)!r}", file=sys.stderr)
+            return 1
+    a, b, c = params["a"], params["b"], params["c"]
     checks: list[dict] = []
     try:
         if args.suite in ("all", "identities"):
@@ -340,7 +348,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "suite": args.suite,
         "truncation": n,
-        "params": {"a": a, "b": b, "c": c},
+        "params": params,
         "checks": checks,
         "all_pass": all(ch["pass"] for ch in checks),
     }
@@ -355,7 +363,17 @@ def cmd_residual(args) -> int:
     except (ValueError, KeyError, CsymcompError) as exc:
         print(f"error: invalid symbol: {exc}", file=sys.stderr)
         return 1
-    schedule = [int(s) for s in args.truncation_schedule.split(",")]
+    try:
+        schedule = [int(s) for s in args.truncation_schedule.split(",")]
+    except ValueError:
+        schedule = []
+    if not schedule or min(schedule) < 1:
+        print(
+            f"error: --truncation-schedule must be positive integers separated by commas, "
+            f"got {args.truncation_schedule!r}",
+            file=sys.stderr,
+        )
+        return 1
     opts = OptimizeOptions(restarts=args.restarts, seed=args.seed, max_iters=args.max_iters)
     rows = []
     try:
@@ -392,6 +410,12 @@ def _grid_values(grid: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.residual_truncation < 0:
+        print(
+            f"error: --residual-truncation must be nonnegative, got {args.residual_truncation}",
+            file=sys.stderr,
+        )
+        return 1
     try:
         param, values = _grid_values(args.grid)
     except ValueError as exc:
@@ -440,7 +464,12 @@ def bundled_corpus_path():
 
 def cmd_corpus(args) -> int:
     if args.infile:
-        lines = open(args.infile, encoding="utf-8").read().splitlines()
+        try:
+            with open(args.infile, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
+            return 1
     else:
         lines = bundled_corpus_path().read_text(encoding="utf-8").splitlines()
     results = []

@@ -22,7 +22,6 @@ from .hardy import (
     monomial,
     multiply,
     reproducing_kernel,
-    series_of_mobius,
 )
 from .mobius import (
     DEFAULT_TOL,
@@ -65,24 +64,27 @@ class EigenReport:
 
 
 def matrix_of_composition(phi: MobiusMap, n: int) -> OperatorMatrix:
-    """Column n = coefficients of phi**n, built by cumulative products."""
+    """Column k = coefficients of phi**k, from the Mobius-power recurrence."""
     if not is_disk_selfmap(phi):
         raise NotSelfMapError("composition symbol must map the disk into itself")
-    coeffs = series_of_mobius(phi, n).coeffs
-    return OperatorMatrix(backend.power_columns(coeffs, n), symbol=phi)
+    return OperatorMatrix(backend.power_columns(phi.coefficients, n, n), symbol=phi)
 
 
 def adjoint(t: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(t.data.conj().T.copy(), symbol=t.symbol)
 
 
+def involution_powers(a: complex, exponents, n: int) -> list[H2Series]:
+    """phi_a^e at truncation n for each e in exponents, from one column build."""
+    cols = backend.power_columns(involution(a).coefficients, n, max(exponents) + 1)
+    return [H2Series(cols[:, e]) for e in exponents]
+
+
 def e_function(a: complex, k: int, n: int) -> H2Series:
     """e_k = K_a * phi_a^k; pairwise orthogonal with squared norm 1/(1-|a|^2)."""
     out = reproducing_kernel(a, n)
     if k:
-        phi_a = series_of_mobius(involution(a), n)
-        for _ in range(k):
-            out = multiply(out, phi_a)
+        out = multiply(out, involution_powers(a, [k], n)[0])
     return out
 
 
@@ -114,11 +116,12 @@ def lemma_star_s_check(a: complex, n: int, k_max: int = 6) -> list[float]:
     """
     a = complex(a)
     mstar = adjoint(matrix_of_composition(involution(a), n))
-    out = [(mstar.apply(monomial(0, n)) - e_function(a, 0, n)).norm()]
+    k_a = reproducing_kernel(a, n)
+    e = [multiply(k_a, p) for p in involution_powers(a, range(k_max + 1), n)]
+    out = [(mstar.apply(monomial(0, n)) - e[0]).norm()]
     for k in range(k_max):
         lhs = mstar.apply(monomial(k + 1, n))
-        rhs = e_function(a, k + 1, n) - a * e_function(a, k, n)
-        out.append((lhs - rhs).norm())
+        out.append((lhs - (e[k + 1] - a * e[k])).norm())
     return out
 
 
@@ -135,16 +138,14 @@ def eigenspace_check_order3(a: complex, n: int, k_max: int = 6):
     phi = elliptic(omega, a)
     m = matrix_of_composition(phi, n)
     mstar = adjoint(m)
-    phi_a = series_of_mobius(involution(a), n)
+    powers = involution_powers(a, range(k_max + 1), n)
+    k_a = reproducing_kernel(a, n)
+    e = [multiply(k_a, p) for p in powers]
     fwd, adj = [], []
-    vec = monomial(0, n)
-    for k in range(k_max + 1):
+    for k, vec in enumerate(powers):
         fwd.append((m.apply(vec) - (omega**k) * vec).norm())
-        dual = e_function(a, k, n)
-        if k > 0:
-            dual = dual - a * e_function(a, k - 1, n)
+        dual = e[k] - a * e[k - 1] if k else e[0]
         adj.append((mstar.apply(dual) - (omega.conjugate() ** k) * dual).norm())
-        vec = multiply(vec, phi_a)
     return fwd, adj
 
 

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compop import matrix_of_composition
+from .compop import involution_powers, matrix_of_composition
 from .errors import DomainError
 from .hardy import (
     H2Series,
     constant,
     inner_product,
     multiply,
-    power,
     reciprocal,
     reproducing_kernel,
     series_of_mobius,
@@ -137,8 +136,7 @@ def build_order3_witness(
     phase /= abs(phase)
     c0 = phase / (1 - r**4)
 
-    phi_a = series_of_mobius(involution(a), n)
-    u = power(phi_a, 3)
+    phi_a, u = involution_powers(a, [1, 3], n)
     one = constant(1.0, n)
     num = one - ab**3 * u  # 1 - conj(a)^3 phi_a^3
     rec = reciprocal(one - rho * u)
@@ -152,27 +150,12 @@ def build_order3_witness(
     return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, n)
 
 
-def _phi_a_power_family(w: Order3Witness, exponents) -> list[H2Series]:
-    phi_a = series_of_mobius(involution(w.a), w.truncation)
-    cache: dict[int, H2Series] = {}
-    out = []
-    top = max(exponents)
-    cur = constant(1.0, w.truncation)
-    cache[0] = cur
-    for k in range(1, top + 1):
-        cur = multiply(cur, phi_a)
-        cache[k] = cur
-    for e in exponents:
-        out.append(cache[e])
-    return out
-
-
 def check_claim1_structure(w: Order3Witness, k_max: int = 6):
     """h0 is orthogonal to the phi_a^(3k+2) family and is fixed by the operator.
 
     Returns ``(orthogonality residuals, eigen residual)``.
     """
-    fam = _phi_a_power_family(w, [3 * k + 2 for k in range(k_max + 1)])
+    fam = involution_powers(w.a, [3 * k + 2 for k in range(k_max + 1)], w.truncation)
     orth = [abs(inner_product(w.h0, v)) for v in fam]
     m = matrix_of_composition(elliptic(OMEGA3, w.a), w.truncation)
     eig = (m.apply(w.h0) - w.h0).norm()
@@ -206,7 +189,7 @@ def check_claim2_norm(w: Order3Witness):
 def check_claim3_moments(w: Order3Witness, k_max: int = 6) -> list[float]:
     """<h0, phi_a^(3k)> = c0 (1-|a|^4) rho^k."""
     r = abs(w.a)
-    fam = _phi_a_power_family(w, [3 * k for k in range(k_max + 1)])
+    fam = involution_powers(w.a, [3 * k for k in range(k_max + 1)], w.truncation)
     return [
         abs(inner_product(w.h0, v) - w.c0 * (1 - r**4) * w.rho**k)
         for k, v in enumerate(fam)
@@ -224,7 +207,7 @@ def check_claim4(w: Order3Witness, k_max: int = 6):
     a, r = w.a, abs(w.a)
     ab = a.conjugate()
     n = w.truncation
-    fam = _phi_a_power_family(w, [3 * k for k in range(k_max + 1)])
+    fam = involution_powers(a, [3 * k for k in range(k_max + 1)], n)
     orth = [abs(inner_product(w.h1, v)) for v in fam]
 
     diff = w.h1 - ab * w.h0
@@ -233,8 +216,7 @@ def check_claim4(w: Order3Witness, k_max: int = 6):
 
     # delta law: h1 - conj(a) h0 = lead * phi_a * sum_k delta_k (phi_a^3)^k
     lead = -w.c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    phi_a = series_of_mobius(involution(a), n)
-    u = power(phi_a, 3)
+    phi_a, u = involution_powers(a, [1, 3], n)
     terms = math.ceil(max(60.0, math.log(1e-18) / math.log(max(abs(w.rho), 1e-6))))
     acc = constant(0.0, n)
     upow = constant(1.0, n)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from csymcomp import __version__
 from csymcomp.cli import main, parse_complex, symbol_from_spec, to_jsonable
 from csymcomp.mobius import SymbolKind, classify
 
@@ -42,6 +43,12 @@ def test_to_jsonable_complex_and_floats():
     out = to_jsonable({"z": 0.1 + 0.2j, "x": 1 / 3})
     assert out["z"] == [0.1, 0.2]
     assert out["x"] == float(f"{1/3:.15g}")
+
+
+def test_version_names_the_kernels(capsys):
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out.strip() == f"csymcomp {__version__} (python kernels)"
 
 
 # -- classify ----------------------------------------------------------------------
@@ -206,6 +213,33 @@ def test_corpus_malformed_line_exit_1(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "--json", "--in", str(f))
     assert code == 1
     assert json.loads(out)["malformed"] == 1
+
+
+# -- bad input: exit 1 with a one-line message ----------------------------------------
+
+ROTATION = '{"family":"rotation","theta":1.0}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--a", "xyz"],
+        ["verify", "--truncation", "0"],
+        ["verify", "--truncation", "-3"],
+        ["residual", "--symbol", ROTATION, "--truncation-schedule", "0"],
+        ["residual", "--symbol", ROTATION, "--truncation-schedule", "4,x"],
+        ["corpus", "--in", "{tmp}/missing.jsonl"],
+        ["sweep", "--family", "involution", "--grid", "a=0.1:0.5:2", "--out", "{tmp}/x.csv",
+         "--residual-truncation", "-3"],
+    ],
+    ids=["a_xyz", "truncation_0", "truncation_neg", "schedule_0", "schedule_4x", "corpus_missing",
+         "sweep_residual_neg"],
+)
+def test_bad_input_exits_1_without_traceback(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- determinism ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from csymcomp.backend import power_columns
 from csymcomp.compop import (
     OperatorMatrix,
     adjoint,
@@ -18,7 +19,7 @@ from csymcomp.compop import (
     point_spectrum_formula,
     schroeder_eigenrelation_residual,
 )
-from csymcomp.errors import ConvergenceError, NotSelfMapError
+from csymcomp.errors import ConvergenceError, ExpansionDomainError, NotSelfMapError
 from csymcomp.hardy import (
     H2Series,
     evaluate,
@@ -50,15 +51,32 @@ def test_matrix_of_dilation_translation_is_upper_triangular():
     assert m[1, 2] == pytest.approx(2 * 0.5 * 0.25)
 
 
-def test_matrix_column_is_symbol_power():
-    phi = involution(0.4)
-    n = 32
-    m = matrix_of_composition(phi, n).data
-    s = series_of_mobius(phi, n)
-    s3 = H2Series(np.convolve(np.convolve(s.coeffs, s.coeffs)[:n], s.coeffs)[:n])
-    assert np.allclose(m[:, 0], np.eye(n)[:, 0])
-    assert np.allclose(m[:, 1], s.coeffs)
-    assert np.allclose(m[:, 3], s3.coeffs, atol=1e-13)
+@pytest.mark.parametrize(
+    "phi",
+    [
+        rotation(cmath.exp(0.7j)),
+        MobiusMap(0.5, 0.25 + 0.1j, 0, 1),  # sz + c: the c = 0 path
+        involution(0.16),  # the high powers underflow to subnormals
+        elliptic(OMEGA3, 0.7 + 0.2j),
+        elliptic(OMEGA3, 0.99),
+        MobiusMap(0.5, 0, -0.3, 1),  # bz/(1 - cz)
+    ],
+    ids=["rotation", "affine", "involution_0.16", "elliptic3", "elliptic3_0.99", "bz_over_1_minus_cz"],
+)
+def test_matrix_column_is_symbol_power(phi):
+    # oracle: column k is phi**k by a chain of truncated convolutions
+    n = 64
+    s = series_of_mobius(phi, n).coeffs
+    want = np.zeros((n, n), dtype=complex)
+    want[0, 0] = 1.0
+    for k in range(1, n):
+        want[:, k] = np.convolve(want[:, k - 1], s)[:n]
+    # power_columns, not matrix_of_composition: is_disk_selfmap misjudges
+    # elliptic3 at |a| = 0.99 (ROADMAP item 4)
+    assert np.max(np.abs(power_columns(phi.coefficients, n, n) - want)) <= 1e-13
+    cols = power_columns(phi.coefficients, n, 4)
+    assert cols.shape == (n, 4)
+    assert np.max(np.abs(cols - want[:, :4])) <= 1e-13
 
 
 def test_matrix_applies_like_pointwise_composition():
@@ -177,3 +195,9 @@ def test_schroeder_eigenrelation():
     coeffs[1:] = eta ** np.arange(n - 1)
     sigma = H2Series(coeffs)
     assert schroeder_eigenrelation_residual(phi, sigma, b) < 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1, 0.5), (1, 0, 1, 1), (1, 1, 0, 0)], ids=["pole_inside", "pole_on_circle", "d_zero"])
+def test_power_columns_rejects_pole_in_closed_disk(coeffs):
+    with pytest.raises(ExpansionDomainError):
+        power_columns(coeffs, 8, 8)
