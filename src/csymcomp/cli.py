@@ -41,6 +41,7 @@ from .paperchecks import (
     check_lemma_tz,
     check_theorem_final,
     check_theorem_main_gap,
+    witness_truncation,
 )
 
 TOL_MATRIX = 1e-7
@@ -231,6 +232,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _check(name: str, residual: float, tol: float, truncation: int | None, **extra) -> dict:
+    """One verification record; ``truncation`` is None for pointwise checks."""
+    return {"name": name, "residual": residual, "tol": tol, "truncation": truncation, **extra}
+
+
 def _suite_identities(a: complex, n: int) -> list[dict]:
     from .mobius import elliptic
 
@@ -244,72 +250,58 @@ def _suite_identities(a: complex, n: int) -> list[dict]:
             for t in range(4):
                 z = r * np.exp(2j * np.pi * t / 4)
                 worst = max(worst, identity_id_check(phi, z))
-        checks.append(
-            {"name": f"identity_id[{name}]", "residual": worst, "tol": TOL_POINTWISE}
-        )
+        checks.append(_check(f"identity_id[{name}]", worst, TOL_POINTWISE, None))
     symbols = [("elliptic3", elliptic(np.exp(2j * np.pi / 3), a))]
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
     symbols.append(("dilate_translate", MobiusMap(0.5, a / 2.0, 0, 1)))
     for name, phi in symbols:
         r1, r2, r3 = adjoint_kernel_checks(phi, n)
         for label, value in (("star1", r1), ("star2", r2), ("star3", r3)):
-            checks.append(
-                {"name": f"adjoint_{label}[{name}]", "residual": value, "tol": TOL_MATRIX}
-            )
+            checks.append(_check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, n))
     for k, value in enumerate(lemma_star_s_check(a, n)):
-        checks.append(
-            {"name": f"lemma_star_s[k={k}]", "residual": value, "tol": TOL_MATRIX}
-        )
+        checks.append(_check(f"lemma_star_s[k={k}]", value, TOL_MATRIX, n))
     return checks
 
 
 def _suite_order3(a: complex, n: int) -> list[dict]:
-    checks = []
-    w = build_order3_witness(a, 1.0, n)
+    w = build_order3_witness(a, 1.0, witness_truncation(a, n))
+    nw = w.truncation
     orth1, eig1 = check_claim1_structure(w)
-    checks.append({"name": "claim1_orthogonality", "residual": max(orth1), "tol": TOL_SERIES})
-    checks.append({"name": "claim1_eigen", "residual": eig1, "tol": TOL_MATRIX})
     c2 = check_claim2_norm(w)
-    checks.append({"name": "claim2_norm", "residual": c2["norm"], "tol": TOL_SERIES})
-    checks.append(
-        {"name": "claim2_decomposition", "residual": c2["decomposition"], "tol": TOL_SERIES}
-    )
-    checks.append(
-        {"name": "claim2_e0_norm", "residual": c2["e0_norm_match"], "tol": TOL_SERIES}
-    )
-    checks.append(
-        {"name": "claim3_moments", "residual": max(check_claim3_moments(w)), "tol": TOL_SERIES}
-    )
     c4 = check_claim4(w)
-    checks.append(
-        {"name": "claim4_orthogonality", "residual": max(c4["orthogonality"]), "tol": TOL_SERIES}
-    )
-    checks.append({"name": "claim4_eigen", "residual": c4["eigen"], "tol": TOL_MATRIX})
-    checks.append({"name": "claim4_delta_law", "residual": c4["delta_law"], "tol": TOL_SERIES})
     gap = check_theorem_main_gap(a)
-    checks.append({"name": "gap_matches_closed_form", "residual": gap.residual, "tol": TOL_SERIES})
-    checks.append({"name": "gap_beta_decomposition", "residual": gap.beta_residual, "tol": TOL_SERIES})
-    checks.append(
-        {
-            "name": "gap_strictly_positive",
-            "residual": 0.0 if gap.gap > 0 else 1.0,
-            "tol": 0.5,
-            "gap": gap.gap,
-        }
-    )
-    checks.append({"name": "e1_norm", "residual": check_e1_norm(a, n), "tol": TOL_MATRIX})
-    return checks
+    return [
+        _check("claim1_orthogonality", max(orth1), TOL_SERIES, nw),
+        _check("claim1_eigen", eig1, TOL_MATRIX, nw),
+        _check("claim2_norm", c2["norm"], TOL_SERIES, nw),
+        _check("claim2_decomposition", c2["decomposition"], TOL_SERIES, nw),
+        _check("claim2_e0_norm", c2["e0_norm_match"], TOL_SERIES, nw),
+        _check("claim3_moments", max(check_claim3_moments(w)), TOL_SERIES, nw),
+        _check("claim4_orthogonality", max(c4["orthogonality"]), TOL_SERIES, nw),
+        _check("claim4_eigen", c4["eigen"], TOL_MATRIX, nw),
+        _check("claim4_delta_law", c4["delta_law"], TOL_SERIES, nw),
+        _check("gap_matches_closed_form", gap.residual, TOL_SERIES, gap.truncation),
+        _check("gap_beta_decomposition", gap.beta_residual, TOL_SERIES, gap.truncation),
+        _check(
+            "gap_strictly_positive",
+            0.0 if gap.gap > 0 else 1.0,
+            0.5,
+            gap.truncation,
+            gap=gap.gap,
+        ),
+        _check("e1_norm", check_e1_norm(a, n), TOL_MATRIX, n),
+    ]
 
 
 def _suite_schroeder(b: complex, c: complex, n: int) -> list[dict]:
     mode, res = check_lemma_tz(b, c, n)
-    return [{"name": f"lemma_tz[{mode}]", "residual": res, "tol": TOL_SERIES}]
+    return [_check(f"lemma_tz[{mode}]", res, TOL_SERIES, n if mode == "series" else None)]
 
 
 def _suite_final(b: complex, c: complex, a: complex, n: int) -> list[dict]:
     report = check_theorem_final(b, c, a, n)
     return [
-        {"name": f"theorem_final[{key}]", "residual": value, "tol": TOL_MATRIX}
+        _check(f"theorem_final[{key}]", value, TOL_MATRIX, report.truncation)
         for key, value in report.residuals.items()
     ]
 
@@ -342,6 +334,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for check in checks:
+        check["margin"] = check["residual"] / check["tol"]
         check["pass"] = bool(check["residual"] <= check["tol"])
     report = {
         "tool_version": __version__,

@@ -19,7 +19,6 @@ from .hardy import (
     H2Series,
     KernelSpec,
     kernel,
-    monomial,
     multiply,
     reproducing_kernel,
 )
@@ -71,7 +70,8 @@ def matrix_of_composition(phi: MobiusMap, n: int) -> OperatorMatrix:
 
 
 def adjoint(t: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(t.data.conj().T.copy(), symbol=t.symbol)
+    """The conjugate transpose, as a transposed view of the conjugate."""
+    return OperatorMatrix(t.data.conj().T, symbol=t.symbol)
 
 
 def involution_powers(a: complex, exponents, n: int) -> list[H2Series]:
@@ -112,16 +112,20 @@ def lemma_star_s_check(a: complex, n: int, k_max: int = 6) -> list[float]:
     """Residuals of the involution adjoint action on monomials.
 
     Checks C*1 = K_a and C*z^(k+1) = e_(k+1) - a e_k for k < k_max, with
-    C the adjoint of the composition by phi_a.
+    C the adjoint of the composition by phi_a.  C*z^j is the conjugate of
+    row j of the matrix of C, so only rows 0..k_max are built.
     """
     a = complex(a)
-    mstar = adjoint(matrix_of_composition(involution(a), n))
+    phi = involution(a)
+    if not is_disk_selfmap(phi):
+        raise NotSelfMapError("composition symbol must map the disk into itself")
+    rows = backend.power_columns(phi.coefficients, k_max + 1, n).conj()
+    rows[n:] = 0.0  # z^j with j >= n is zero at truncation n
     k_a = reproducing_kernel(a, n)
     e = [multiply(k_a, p) for p in involution_powers(a, range(k_max + 1), n)]
-    out = [(mstar.apply(monomial(0, n)) - e[0]).norm()]
+    out = [(H2Series(rows[0]) - e[0]).norm()]
     for k in range(k_max):
-        lhs = mstar.apply(monomial(k + 1, n))
-        out.append((lhs - (e[k + 1] - a * e[k])).norm())
+        out.append((H2Series(rows[k + 1]) - (e[k + 1] - a * e[k])).norm())
     return out
 
 

@@ -125,6 +125,64 @@ def test_verify_order3_suite(capsys):
     data = json.loads(out)
     names = [ch["name"] for ch in data["checks"]]
     assert "gap_strictly_positive" in names
+    for ch in data["checks"]:
+        assert ch["truncation"] == 512
+        assert ch["margin"] == pytest.approx(ch["residual"] / ch["tol"], rel=1e-14)
+        assert ch["pass"] == (ch["margin"] <= 1.0)
+
+
+@pytest.mark.parametrize("a", ["0.75", "0.8"])
+def test_verify_order3_widens_witness_truncation(capsys, a):
+    # the claims need a longer tail than --truncation gives near the circle
+    code, out, _ = run(capsys, "verify", "--json", "--suite", "order3", "--a", a)
+    assert code == 0
+    data = json.loads(out)
+    claims = [ch for ch in data["checks"] if ch["name"].startswith("claim")]
+    assert all(ch["truncation"] > 512 for ch in claims)
+    assert all(ch["margin"] <= 1.0 for ch in data["checks"])
+
+
+def test_verify_pointwise_checks_have_no_truncation(capsys):
+    code, out, _ = run(capsys, "verify", "--json", "--suite", "identities", "--truncation", "64")
+    assert code == 0
+    for ch in json.loads(out)["checks"]:
+        want = None if ch["name"].startswith("identity_id") else 64
+        assert ch["truncation"] == want
+
+
+def test_verify_builds_each_block_once(capsys, monkeypatch):
+    # the suite reads each power block once at the shape it needs:
+    # four full N x N operator matrices and few truncated products
+    import sys
+
+    from csymcomp import backend, hardy
+
+    squares, products = [], []
+    power_columns, multiply = backend.power_columns, hardy.multiply
+
+    def counted_power_columns(coeffs, n, k):
+        if n == k:
+            squares.append(n)
+        return power_columns(coeffs, n, k)
+
+    def counted_multiply(f, g):
+        products.append(1)
+        return multiply(f, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "csymcomp":
+            continue
+        for attr, orig, new in (
+            ("power_columns", power_columns, counted_power_columns),
+            ("multiply", multiply, counted_multiply),
+        ):
+            if getattr(module, attr, None) is orig:
+                monkeypatch.setattr(module, attr, new)
+    code, _, _ = run(capsys, "verify", "--json", "--suite", "all", "--truncation", "512")
+    assert code == 0
+    assert squares == [512] * len(squares)
+    assert len(squares) <= 4, f"{len(squares)} full builds"
+    assert len(products) <= 30, f"{len(products)} products"
 
 
 # -- residual -----------------------------------------------------------------------

@@ -65,18 +65,25 @@ def test_matrix_of_dilation_translation_is_upper_triangular():
 )
 def test_matrix_column_is_symbol_power(phi):
     # oracle: column k is phi**k by a chain of truncated convolutions
-    n = 64
-    s = series_of_mobius(phi, n).coeffs
-    want = np.zeros((n, n), dtype=complex)
-    want[0, 0] = 1.0
-    for k in range(1, n):
-        want[:, k] = np.convolve(want[:, k - 1], s)[:n]
+    s = series_of_mobius(phi, 512).coeffs
+
+    def chain(n, k):
+        want = np.zeros((n, k), dtype=complex)
+        if n and k:
+            want[0, 0] = 1.0
+            for j in range(1, k):
+                want[:, j] = np.convolve(want[:, j - 1], s[:n])[:n]
+        return want
+
     # power_columns, not matrix_of_composition: is_disk_selfmap misjudges
-    # elliptic3 at |a| = 0.99 (ROADMAP item 4)
-    assert np.max(np.abs(power_columns(phi.coefficients, n, n) - want)) <= 1e-13
-    cols = power_columns(phi.coefficients, n, 4)
-    assert cols.shape == (n, 4)
-    assert np.max(np.abs(cols - want[:, :4])) <= 1e-13
+    # elliptic3 at |a| = 0.99 (ROADMAP item 4).  The 64 x 64 square and the
+    # 1 x 1 edge take the antidiagonal sweep; 64 x 4, 512 x 21, 9 x 1 and
+    # 4 x 1 double along rows, 8 x 64 and 1 x 9 along columns.
+    shapes = [(64, 64), (64, 4), (512, 21), (8, 64), (1, 1), (1, 9), (9, 1), (4, 1), (0, 5), (5, 0), (0, 0)]
+    for n, k in shapes:
+        got = power_columns(phi.coefficients, n, k)
+        assert got.shape == (n, k)
+        assert np.max(np.abs(got - chain(n, k)), initial=0.0) <= 1e-13, (n, k)
 
 
 def test_matrix_applies_like_pointwise_composition():
@@ -199,5 +206,7 @@ def test_schroeder_eigenrelation():
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 1, 0.5), (1, 0, 1, 1), (1, 1, 0, 0)], ids=["pole_inside", "pole_on_circle", "d_zero"])
 def test_power_columns_rejects_pole_in_closed_disk(coeffs):
-    with pytest.raises(ExpansionDomainError):
-        power_columns(coeffs, 8, 8)
+    # the sweep, the row doubling and the column doubling all refuse it
+    for n, k in [(8, 8), (64, 4), (4, 64)]:
+        with pytest.raises(ExpansionDomainError):
+            power_columns(coeffs, n, k)

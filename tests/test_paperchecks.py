@@ -111,6 +111,16 @@ def test_claim4_delta_coefficient_law(witness):
     assert out["delta_law"] < TOL
 
 
+def test_claims_past_the_witness_powers(witness):
+    # a family wider than the witness's one phi_a build gets its own build,
+    # whose columns agree with the shared ones
+    width = witness.phi_a_powers.shape[1]
+    short = check_claim3_moments(witness)
+    wide = check_claim3_moments(witness, k_max=width // 3 + 2)
+    assert wide[: len(short)] == pytest.approx(short, abs=1e-16)
+    assert max(wide) < TOL
+
+
 @pytest.mark.parametrize("a", [0.3, 0.5 + 0.2j, 0.25 - 0.55j])
 def test_witness_checks_at_complex_centers(a):
     w = build_order3_witness(a)
