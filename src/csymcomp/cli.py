@@ -40,7 +40,8 @@ from .paperchecks import (
     check_e1_norm,
     check_lemma_tz,
     check_theorem_final,
-    check_theorem_main_gap,
+    gap_report,
+    gap_truncation,
     witness_truncation,
 )
 
@@ -217,6 +218,7 @@ def cmd_classify(args) -> int:
         "seed": args.seed,
         "symbol": spec,
         "coefficients": list(phi.coefficients),
+        "conditioning": phi.conditioning,
     }
     try:
         verdict = decide(phi)
@@ -264,12 +266,13 @@ def _suite_identities(a: complex, n: int) -> list[dict]:
 
 
 def _suite_order3(a: complex, n: int) -> list[dict]:
-    w = build_order3_witness(a, 1.0, witness_truncation(a, n))
+    # one witness serves the claims and the gap checks
+    w = build_order3_witness(a, 1.0, max(witness_truncation(a, n), gap_truncation(a)))
     nw = w.truncation
     orth1, eig1 = check_claim1_structure(w)
     c2 = check_claim2_norm(w)
     c4 = check_claim4(w)
-    gap = check_theorem_main_gap(a)
+    gap = gap_report(w)
     return [
         _check("claim1_orthogonality", max(orth1), TOL_SERIES, nw),
         _check("claim1_eigen", eig1, TOL_MATRIX, nw),

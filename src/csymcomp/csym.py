@@ -8,6 +8,7 @@ A fixed point on the unit circle always rules complex symmetry out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,9 +22,9 @@ from .mobius import (
     SymbolClass,
     SymbolKind,
     classify,
-    compose,
     fixed_points,
     is_disk_selfmap,
+    order_tolerance,
 )
 
 
@@ -57,11 +58,21 @@ def _location(p: SpherePoint, tol: float) -> str:
 
 
 def is_involutive_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
-    """True iff phi o phi is the identity and phi is not itself the identity."""
+    """True iff phi o phi is the identity, phi is not, and phi maps the disk into itself.
+
+    By Cayley-Hamilton M^2 = tr(M) M - det(M) I for the coefficient matrix
+    M, so for a map other than the identity phi o phi = id exactly when
+    tr M = a + d = 0.  For an automorphism with multiplier lam,
+    |lam + 1| = |tr M| / sqrt|det M|, and |lam^2 - 1| is twice that near
+    lam = -1, so the trace is held to the tolerance of ``classify``'s order
+    test and both decision paths agree on order two.
+    """
     if phi.is_identity(tol):
         return False
-    square = compose(phi, phi)
-    return square.is_identity(tol) and is_disk_selfmap(phi, tol)
+    return (
+        2.0 * abs(phi.a + phi.d) <= order_tolerance(phi, tol) * math.sqrt(abs(phi.det))
+        and is_disk_selfmap(phi, tol)
+    )
 
 
 def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:

@@ -28,6 +28,11 @@ COEF_EPS = 1e-13
 #: Upper bound for elliptic order detection; beyond this the order is infinite.
 ORDER_MAX = 64
 
+#: Order-test tolerance per unit of conditioning: the multiplier at the
+#: interior fixed point carries a rounding error of a few 1e-15 times kappa,
+#: and kappa reaches 1e8 for elliptic maps centred at |a| = 1 - 1e-4.
+ORDER_TOL_PER_KAPPA = 1e-13
+
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -153,6 +158,11 @@ class MobiusMap:
         return self.a * self.d - self.b * self.c
 
     @property
+    def conditioning(self) -> float:
+        """kappa = 1/|ad - bc| of the normalized coefficients; large near the circle."""
+        return 1.0 / abs(self.det)
+
+    @property
     def coefficients(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
@@ -270,80 +280,56 @@ def fixed_points(f: MobiusMap, tol: float = DEFAULT_TOL) -> FixedPointData:
     return FixedPointData.distinct(SpherePoint(r1), SpherePoint(r2))
 
 
-def _boundary_image_circle(f: MobiusMap):
-    """Image of the unit circle: ``(center, radius)`` or ``None`` for a line.
+def _image_disk(f: MobiusMap):
+    """Image of the unit disk in closed form (Cowen 1988), or None if it is unbounded.
 
-    Raises DomainError if a boundary point maps to infinity (pole on the
-    circle), in which case the image is unbounded.
+    For |c| < |d| the pole lies outside the closed disk and f(D) is the disk
+    with center (b conj(d) - a conj(c))/g and radius |ad - bc|/g, where
+    g = |d|^2 - |c|^2.  Returns ``(g |center|, g radius, g, |c|^2 + |d|^2)``.
+    The predicates compare |center| + radius with 1 multiplied through by g,
+    which is small when the pole nears the circle, so none divides by it;
+    their tolerance is relative to |c|^2 + |d|^2.  The reciprocal of
+    g radius is the conditioning kappa (``MobiusMap.conditioning``).  For
+    |c| >= |d| the pole lies in the closed disk and None is returned.
     """
-    pts = []
-    for t in (1.0, 1.0j, -1.0):
-        w = apply(f, t)
-        if w.is_infinity:
-            raise DomainError("pole on the unit circle; boundary image unbounded")
-        pts.append(w.finite)
-    z1, z2, z3 = pts
-    # collinearity via the cross ratio (z3-z1)/(z2-z1)
-    u = (z3 - z1) / (z2 - z1)
-    if abs(u.imag) <= DEFAULT_TOL * max(1.0, abs(u)):
+    a, b, c, d = f.a, f.b, f.c, f.d
+    cc = c.real * c.real + c.imag * c.imag
+    dd = d.real * d.real + d.imag * d.imag
+    if cc >= dd:
         return None
-    # circumcenter from two perpendicular bisectors
-    # |m - z1|^2 = |m - z2|^2 and |m - z1|^2 = |m - z3|^2 gives a real 2x2 system
-    ax, ay = (z2 - z1).real, (z2 - z1).imag
-    bx, by = (z3 - z1).real, (z3 - z1).imag
-    ra = (abs(z2) ** 2 - abs(z1) ** 2) / 2.0
-    rb = (abs(z3) ** 2 - abs(z1) ** 2) / 2.0
-    det = ax * by - ay * bx
-    mx = (ra * by - ay * rb) / det
-    my = (ax * rb - ra * bx) / det
-    m = complex(mx, my)
-    r = (abs(z1 - m) + abs(z2 - m) + abs(z3 - m)) / 3.0
-    return m, r
+    return abs(b * d.conjugate() - a * c.conjugate()), abs(f.det), dd - cc, cc + dd
 
 
 def is_disk_selfmap(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
-    """True iff f maps the unit disk into itself."""
-    try:
-        circle = _boundary_image_circle(f)
-    except DomainError:
+    """True iff f maps the unit disk into itself: |center| + radius <= 1."""
+    disk = _image_disk(f)
+    if disk is None:
         return False
-    if circle is None:
-        return False
-    m, r = circle
-    if abs(m) + r > 1.0 + tol:
-        return False
-    f0 = apply(f, 0.0)
-    if f0.is_infinity:
-        return False
-    # f(D) is the bounded side of the image circle iff f(0) lies inside it
-    return abs(f0.finite - m) <= r + tol
+    offset, radius, gap, scale = disk
+    return offset + radius <= gap + tol * scale
 
 
 def boundary_contact(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     """Advisory flag: the image of the unit circle is internally tangent to it."""
-    try:
-        circle = _boundary_image_circle(f)
-    except DomainError:
+    disk = _image_disk(f)
+    if disk is None:
         return False
-    if circle is None:
-        return False
-    m, r = circle
-    return abs(abs(m) + r - 1.0) <= tol
+    offset, radius, gap, scale = disk
+    return abs(offset + radius - gap) <= tol * scale
 
 
 def is_automorphism(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
-    """True iff f maps the disk onto itself (boundary image is the unit circle)."""
-    try:
-        circle = _boundary_image_circle(f)
-    except DomainError:
+    """True iff f maps the disk onto itself: center 0 and radius 1."""
+    disk = _image_disk(f)
+    if disk is None:
         return False
-    if circle is None:
-        return False
-    m, r = circle
-    if not (abs(m) <= tol and abs(r - 1.0) <= tol):
-        return False
-    f0 = apply(f, 0.0)
-    return (not f0.is_infinity) and abs(f0.finite) < 1.0 + tol
+    offset, radius, gap, scale = disk
+    return offset <= tol * scale and abs(radius - gap) <= tol * scale
+
+
+def order_tolerance(f: MobiusMap, tol: float = DEFAULT_TOL) -> float:
+    """Tolerance of ``classify``'s order test: max(tol, 1e-13 kappa)."""
+    return max(tol, ORDER_TOL_PER_KAPPA * f.conditioning)
 
 
 def multiplier_order(lam: complex, tol: float = DEFAULT_TOL, q_max: int = ORDER_MAX) -> float:
@@ -371,7 +357,7 @@ def classify(f: MobiusMap, tol: float = DEFAULT_TOL) -> SymbolClass:
         if not interior:
             return SymbolClass(SymbolKind.HYPERBOLIC_AUT)
         center = interior[0].finite
-        order = multiplier_order(derivative_at(f, center), tol)
+        order = multiplier_order(derivative_at(f, center), order_tolerance(f, tol))
         if abs(f.b) <= tol and abs(f.c) <= tol:
             return SymbolClass(SymbolKind.ROTATION, order=order, center=0.0 + 0.0j)
         return SymbolClass(SymbolKind.ELLIPTIC_AUT, order=order, center=center)

@@ -311,18 +311,27 @@ def witness_truncation(a: complex, n: int) -> int:
 def check_theorem_main_gap(a: complex, n: int | None = None) -> GapReport:
     """The incompatibility of the two norms of f, evaluated numerically.
 
+    Builds the witness at truncation n (default ``gap_truncation(a)``) and
+    returns its ``gap_report``.
+    """
+    a = complex(a)
+    if a == 0:
+        raise DomainError("a = 0 is the rotation case; no contradiction exists")
+    if n is None:
+        n = gap_truncation(a)
+    return gap_report(build_order3_witness(a, 1.0, n))
+
+
+def gap_report(w: Order3Witness) -> GapReport:
+    """The two norms of the witness's f, at the witness's truncation.
+
     lhs = ||f||^2 from the series, which matches
     (1 + 2|a|^2 - 2|a|^4 - |a|^6)(1+|a|^2)^2; rhs is the value an isometric
     conjugation would force, (1-|a|^4)(1+|a|^2)^2.  The gap is strictly
     positive for every a != 0 in the disk, which is the contradiction.
     """
-    a = complex(a)
+    a = w.a
     r = abs(a)
-    if r == 0:
-        raise DomainError("a = 0 is the rotation case; no contradiction exists")
-    if n is None:
-        n = gap_truncation(a)
-    w = build_order3_witness(a, 1.0, n)
     lhs = w.f.norm_sq()
     rhs = (1 - r**4) * (1 + r**2) ** 2
     gap = lhs - rhs
@@ -347,7 +356,7 @@ def check_theorem_main_gap(a: complex, n: int | None = None) -> GapReport:
     )
     return GapReport(
         a=a,
-        truncation=n,
+        truncation=w.truncation,
         lhs=lhs,
         rhs=rhs,
         gap=gap,

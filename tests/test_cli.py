@@ -84,6 +84,20 @@ def test_classify_not_selfmap_exits_2(capsys):
     assert json.loads(out)["error"] == "not a self-map of the unit disk"
 
 
+def test_classify_near_circle_elliptic3(capsys):
+    # the pole of elliptic3 at |a| = 0.99 lies 0.01 outside the circle
+    argv = ("classify", "--json", "--symbol", '{"family":"elliptic3","a":[0.99,0]}')
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"]["class"]["kind"] == "elliptic_automorphism"
+    assert data["verdict"]["class"]["order"] == 3
+    assert data["verdict"]["is_cs"] is False
+    assert data["conditioning"] == pytest.approx(1 / abs(symbol_from_spec(json.loads(argv[-1])).det))
+    assert data["conditioning"] > 1e3
+    assert run(capsys, *argv)[1] == out
+
+
 def test_classify_malformed_symbol_exits_1(capsys):
     code, _, err = run(capsys, "classify", "--symbol", "not json")
     assert code == 1
@@ -142,6 +156,18 @@ def test_verify_order3_widens_witness_truncation(capsys, a):
     assert all(ch["margin"] <= 1.0 for ch in data["checks"])
 
 
+def test_verify_order3_near_circle_is_not_rejected(capsys):
+    # elliptic3 at |a| = 0.99 is a self-map; the claims may still miss their
+    # tolerance at the truncation cap, which is exit code 3, never 2
+    code, out, err = run(capsys, "verify", "--json", "--suite", "order3", "--a", "0.99")
+    assert code != 2
+    assert "self-map" not in err
+    data = json.loads(out)
+    gap = [ch for ch in data["checks"] if ch["name"].startswith("gap_")]
+    claims = [ch for ch in data["checks"] if ch["name"].startswith("claim")]
+    assert {ch["truncation"] for ch in gap} == {ch["truncation"] for ch in claims}
+
+
 def test_verify_pointwise_checks_have_no_truncation(capsys):
     code, out, _ = run(capsys, "verify", "--json", "--suite", "identities", "--truncation", "64")
     assert code == 0
@@ -152,13 +178,15 @@ def test_verify_pointwise_checks_have_no_truncation(capsys):
 
 def test_verify_builds_each_block_once(capsys, monkeypatch):
     # the suite reads each power block once at the shape it needs:
-    # four full N x N operator matrices and few truncated products
+    # four full N x N operator matrices, few truncated products and one
+    # order-3 witness for the claims and the gap checks together
     import sys
 
-    from csymcomp import backend, hardy
+    from csymcomp import backend, hardy, paperchecks
 
-    squares, products = [], []
+    squares, products, witnesses = [], [], []
     power_columns, multiply = backend.power_columns, hardy.multiply
+    build_order3_witness = paperchecks.build_order3_witness
 
     def counted_power_columns(coeffs, n, k):
         if n == k:
@@ -169,12 +197,17 @@ def test_verify_builds_each_block_once(capsys, monkeypatch):
         products.append(1)
         return multiply(f, g)
 
+    def counted_witness(*args, **kwargs):
+        witnesses.append(1)
+        return build_order3_witness(*args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "csymcomp":
             continue
         for attr, orig, new in (
             ("power_columns", power_columns, counted_power_columns),
             ("multiply", multiply, counted_multiply),
+            ("build_order3_witness", build_order3_witness, counted_witness),
         ):
             if getattr(module, attr, None) is orig:
                 monkeypatch.setattr(module, attr, new)
@@ -183,6 +216,7 @@ def test_verify_builds_each_block_once(capsys, monkeypatch):
     assert squares == [512] * len(squares)
     assert len(squares) <= 4, f"{len(squares)} full builds"
     assert len(products) <= 30, f"{len(products)} products"
+    assert len(witnesses) == 1, f"{len(witnesses)} witness builds"
 
 
 # -- residual -----------------------------------------------------------------------

@@ -75,15 +75,15 @@ def test_matrix_column_is_symbol_power(phi):
                 want[:, j] = np.convolve(want[:, j - 1], s[:n])[:n]
         return want
 
-    # power_columns, not matrix_of_composition: is_disk_selfmap misjudges
-    # elliptic3 at |a| = 0.99 (ROADMAP item 4).  The 64 x 64 square and the
-    # 1 x 1 edge take the antidiagonal sweep; 64 x 4, 512 x 21, 9 x 1 and
-    # 4 x 1 double along rows, 8 x 64 and 1 x 9 along columns.
+    # The 64 x 64 square and the 1 x 1 edge take the antidiagonal sweep;
+    # 64 x 4, 512 x 21, 9 x 1 and 4 x 1 double along rows, 8 x 64 and 1 x 9
+    # along columns.
     shapes = [(64, 64), (64, 4), (512, 21), (8, 64), (1, 1), (1, 9), (9, 1), (4, 1), (0, 5), (5, 0), (0, 0)]
     for n, k in shapes:
         got = power_columns(phi.coefficients, n, k)
         assert got.shape == (n, k)
         assert np.max(np.abs(got - chain(n, k)), initial=0.0) <= 1e-13, (n, k)
+    assert np.max(np.abs(matrix_of_composition(phi, 64).data - chain(64, 64))) <= 1e-13
 
 
 def test_matrix_applies_like_pointwise_composition():

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csymcomp.csym import Witness, decide, decide_automorphism
 from csymcomp.errors import DomainError, InvalidMapError, PoleDerivativeError
 from csymcomp.mobius import (
     DEFAULT_TOL,
     INF,
+    ORDER_MAX,
+    ORDER_TOL_PER_KAPPA,
     FixedPointKind,
     MobiusMap,
     SpherePoint,
@@ -48,6 +51,26 @@ disk_points = st.builds(
     st.floats(0.0, 0.9),
     st.floats(0.0, 2 * math.pi),
 )
+
+
+# centres with 1 - |a| log-uniform in [1e-4, 0.3]: the closed-form disk
+# geometry must hold right up to the circle, where kappa reaches 1e8
+near_circle_points = st.builds(
+    lambda e, t: (1.0 - 10.0**-e) * cmath.exp(1j * t),
+    st.floats(0.5, 4.0),
+    st.floats(0.0, 2 * math.pi),
+)
+
+
+def _resolvable(theta: float) -> bool:
+    """theta is at least 1e-4 from every 2 pi k / q with q <= ORDER_MAX."""
+    return all(
+        abs(math.remainder(q * theta, 2 * math.pi)) >= q * 1e-4
+        for q in range(1, ORDER_MAX + 1)
+    )
+
+
+irrational_angles = st.floats(0.0, 2 * math.pi).filter(_resolvable)
 
 
 def _maps():
@@ -318,6 +341,132 @@ def test_conjugate_by_involution_moves_fixed_points():
     a = 0.3 + 0.2j
     m = conjugate_by_involution(rotation(1j), a)
     assert interior_fixed_point(m) == pytest.approx(a)
+
+
+# -- near the unit circle -------------------------------------------------------
+
+
+def _check_automorphism(m, kind, order):
+    cls = classify(m)
+    assert cls.kind is kind
+    assert cls.order == order
+    assert decide(m).is_cs == decide_automorphism(m).is_cs
+    return cls
+
+
+@given(st.integers(1, 12), st.integers(0, 11), irrational_angles)
+def test_rotation_orders(q, k, theta):
+    k = next(j for j in range(k, k + q) if math.gcd(j % q, q) == 1) % q
+    _check_automorphism(rotation(cmath.exp(2j * math.pi * k / q)), SymbolKind.ROTATION, float(q))
+    _check_automorphism(rotation(cmath.exp(1j * theta)), SymbolKind.ROTATION, math.inf)
+
+
+@given(near_circle_points, st.floats(0.0, 2 * math.pi))
+def test_near_circle_rotation_of_involution(a, t):
+    # tr^2/det of e^{it} phi_a is 4 sin^2(t/2) / (1 - |a|^2): elliptic below 4,
+    # hyperbolic above; the band around 4 (nearly parabolic) is ill-posed
+    ratio = math.sin(t / 2) ** 2 / (1 - abs(a) ** 2)
+    assume(ratio < 0.5 or ratio > 2.0)
+    m = compose(rotation(cmath.exp(1j * t)), involution(a))
+    assert is_disk_selfmap(m)
+    assert is_automorphism(m)
+    assert boundary_contact(m)
+    if ratio > 2.0:
+        _check_automorphism(m, SymbolKind.HYPERBOLIC_AUT, None)
+    else:
+        assert classify(m).kind is SymbolKind.ELLIPTIC_AUT
+        assert decide(m).is_cs == decide_automorphism(m).is_cs
+
+
+@given(near_circle_points)
+def test_near_circle_involution(a):
+    m = involution(a)
+    cls = _check_automorphism(m, SymbolKind.ELLIPTIC_AUT, 2.0)
+    r2 = abs(a) ** 2
+    assert abs(cls.center - a * (1 - math.sqrt(1 - r2)) / r2) <= 1e-6
+    verdict = decide(m)
+    assert verdict.is_cs
+    assert Witness.INVOLUTIVE_AUTOMORPHISM in verdict.witnesses
+
+
+@given(st.integers(2, 6), st.integers(1, 5), near_circle_points)
+def test_near_circle_elliptic_orders(q, k, a):
+    k = next(j for j in range(k, k + q) if math.gcd(j % q, q) == 1) % q
+    m = elliptic(cmath.exp(2j * math.pi * k / q), a)
+    cls = _check_automorphism(m, SymbolKind.ELLIPTIC_AUT, float(q))
+    assert abs(cls.center - a) <= 1e-6
+    assert decide(m).is_cs == (q == 2)
+
+
+@given(irrational_angles, near_circle_points)
+def test_near_circle_elliptic_irrational(theta, a):
+    m = elliptic(cmath.exp(1j * theta), a)
+    cls = _check_automorphism(m, SymbolKind.ELLIPTIC_AUT, math.inf)
+    assert abs(cls.center - a) <= 1e-6
+    assert not decide(m).is_cs
+
+
+@given(st.floats(-12.0, -2.0), st.sampled_from([-1.0, 1.0]), near_circle_points)
+def test_near_circle_order_two_band(e, sign, a):
+    # multipliers within 1e-12..1e-2 of -1 straddle the order-two tolerance,
+    # which grows with kappa; the trace test and the order test must agree
+    m = elliptic(-cmath.exp(1j * sign * 10.0**e), a)
+    cls = classify(m)
+    assert cls.kind is SymbolKind.ELLIPTIC_AUT
+    assert decide(m).is_cs == decide_automorphism(m).is_cs == (cls.order == 2.0)
+
+
+@given(
+    st.floats(0.5, 4.0),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 2 * math.pi),
+    near_circle_points,
+)
+def test_near_circle_bz_over_one_minus_cz(e, u, tb, tc, a):
+    # |b| + |c| = 1 - 10^-e: the image disk comes within 1e-4 of the circle
+    s = 1.0 - 10.0**-e
+    b, c = s * u * cmath.exp(1j * tb), s * (1 - u) * cmath.exp(1j * tc)
+    m = MobiusMap(b, 0, -c, 1)  # fixes 0 and the exterior point (1 - b)/c
+    assert is_disk_selfmap(m)
+    assert not is_automorphism(m)
+    cls = classify(m)
+    assert cls.kind is SymbolKind.NONAUT_INTERIOR_FIXED
+    assert cls.order is None
+    assert cls.center == 0
+    assert decide(m).is_cs
+    # conjugated by phi_a the interior fixed point moves to a near the circle
+    # and the exterior one stays finite, so no witness holds
+    m = conjugate_by_involution(m, a)
+    assert is_disk_selfmap(m)
+    assert not is_automorphism(m)
+    cls = classify(m)
+    assert cls.kind is SymbolKind.NONAUT_INTERIOR_FIXED
+    assert cls.order is None
+    assert abs(cls.center - a) <= 1e-6
+    assert not decide(m).is_cs
+    with pytest.raises(DomainError):
+        decide_automorphism(m)
+
+
+def test_order_resolution_limit():
+    # An elliptic map whose angle lies 2e-6 past 2 pi/3 has |lam^3 - 1| = 6e-6
+    # and no q <= 64 closer.  It is told apart from order 3 until the order
+    # tolerance ORDER_TOL_PER_KAPPA * kappa reaches 6e-6, at kappa = 6e7.
+    theta = 2 * math.pi / 3 + 2e-6
+    omega = cmath.exp(1j * theta)
+
+    def order(r):
+        return classify(elliptic(omega, r)).order
+
+    lo, hi = 0.9, 1 - 1e-5
+    assert order(lo) == math.inf and order(hi) == 3.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if order(mid) == math.inf else (lo, mid)
+    assert hi == pytest.approx(0.9998883, abs=1e-6)
+    kappa = elliptic(omega, hi).conditioning
+    assert ORDER_TOL_PER_KAPPA * kappa == pytest.approx(abs(omega**3 - 1), rel=0.02)
 
 
 # -- chordal metric -----------------------------------------------------------

@@ -20,6 +20,7 @@ from csymcomp.paperchecks import (
     check_lemma_tz,
     check_theorem_final,
     check_theorem_main_gap,
+    gap_report,
     gap_truncation,
     schroeder_sigma,
 )
@@ -148,6 +149,15 @@ def test_gap_closed_form_at_half():
     assert rep.residual < 1e-8
     assert rep.beta_residual < 1e-10
     assert rep.gap > 0
+
+
+def test_gap_report_reads_a_given_witness():
+    # the verify suite hands its own witness to the gap checks
+    w = build_order3_witness(0.6 + 0.2j, 1.0, 700)
+    rep = gap_report(w)
+    assert rep == check_theorem_main_gap(0.6 + 0.2j, 700)
+    assert rep.truncation == 700
+    assert rep.residual < 1e-8
 
 
 def test_gap_positive_across_moduli():
