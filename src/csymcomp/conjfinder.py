@@ -13,20 +13,32 @@ Each restart runs Riemannian L-BFGS (Absil, Mahony & Sepulchre,
 *Math. Program.* 2013 for the Cayley step), with all restarts advanced
 together as (R, N, N) stacks.  Near a minimum the defect is very badly
 conditioned (Hessian eigenvalues spread over ten decades), so once the
-gradient is small the restart finishes with trust-region Newton steps on
-the exact Hessian, which converge in about ten steps where first-order
-steps would need tens of thousands of iterations.
+relative gradient norm falls below ``NEWTON_GRAD`` = 1e-4 the restart
+finishes with trust-region Newton steps on the exact Hessian, which
+converge in a few tens of steps where first-order steps would need tens of
+thousands of iterations.  The hand-off point trades L-BFGS iterations for
+Newton steps, whose cost grows as m^3 in the Hessian dimension
+m = N (N + 1) / 2: handing off at 1e-4 rather than 1e-5 halves the
+iterations of a search at N = 16..32, while 1e-3 would make each N = 64
+search about a third slower.
+
+The module logger ``csymcomp.conjfinder`` writes DEBUG records, off by
+default: one per restart at the hand-off (iteration and gradient norm) and
+one per Newton step (shift, Cholesky tries, decrease ratio and defect).
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .compop import OperatorMatrix
 from .errors import DomainError
+
+log = logging.getLogger(__name__)
 
 #: Armijo sufficient-decrease constant and halving cap.
 ARMIJO_C1 = 1e-4
@@ -35,7 +47,13 @@ REORTHO_EVERY = 25
 #: Number of (step, gradient change) pairs kept by L-BFGS.
 LBFGS_MEMORY = 10
 #: Relative gradient norm below which a restart switches to Newton steps.
-NEWTON_GRAD = 1e-5
+#: L-BFGS crawls the ill-conditioned valley, while a dense Newton step at
+#: N <= 32 (m <= 528) costs under 10 ms, so at 1e-4 a search at N = 16..32
+#: takes half the iterations it took at 1e-5 and finishes in about 0.6 of
+#: the time, to the same floors.  1e-3 is faster still at N <= 32 but makes
+#: the N = 64 searches of criterion 6 about a third slower, because each
+#: Newton step there costs 0.4-0.6 s.
+NEWTON_GRAD = 1e-4
 #: Largest Hessian dimension N (N + 1) / 2 for Newton steps (N <= 90): the
 #: dense Hessian and its Cholesky factor take 8 m^2 bytes each, so larger
 #: truncations stay with L-BFGS.
@@ -204,74 +222,86 @@ def _sym_basis(n: int):
     return ia, ib, scale
 
 
-def _bilinear(x: np.ndarray, y: np.ndarray, ia, ib, scale) -> np.ndarray:
-    """[Re tr(B_i X B_j Y)]_ij over the symmetric basis B_i = s_i (e_a e_b^t + e_b e_a^t).
+def _bilinear(ps, weight: float, ia, ib, scale) -> np.ndarray:
+    """weight * [sum over P in ps of tr(B_i P B_j P)]_ij for real matrices P.
 
-    For B_i with indices (a, b) and B_j with (c, d) the trace is
-    X[a,c] Y[d,b] + X[a,d] Y[c,b] + X[b,c] Y[d,a] + X[b,d] Y[c,a].  The
-    basis is ordered row-major over a <= b, so fixing a gives a contiguous
-    block of rows that is filled from column slices without gathers; the
-    two halves of ``xs`` and ``ys`` hold the (c, d) and (d, c) pairings.
+    The basis is B_i = s_i (e_a e_b^t + e_b e_a^t).  For B_i with indices
+    (a, b) and B_j with (c, d) the trace is
+    P[a,c] P[d,b] + P[a,d] P[c,b] + P[b,c] P[d,a] + P[b,d] P[c,a],
+    which is symmetric in i and j by cyclicity of the trace.  The basis is
+    ordered row-major over a <= b, so fixing a gives a contiguous block of
+    rows.  Its entries from column (a, a) on are one einsum over the last
+    axis of ``v`` and ``w``, whose (c, d) and (d, c) pairings are stacked
+    with the weight and the column scales folded into ``v``; the entries
+    left of column (a, a) are copied from the rows above.
     """
-    n, m = x.shape[0], ia.size
-    xs = np.concatenate([x[:, ia], x[:, ib]], axis=1)
-    ys = np.concatenate([y[ib].T, y[ia].T], axis=1)
+    n, m = ps[0].shape[0], ia.size
+    xs = [p[:, idx] for p in ps for idx in (ia, ib)]
+    ys = [p[idx].T for p in ps for idx in (ib, ia)]
+    v = np.stack(xs + ys, axis=-1)
+    v *= (weight * np.sqrt(0.5) * scale)[:, None]
+    w = np.stack(ys + xs, axis=-1)
     out = np.empty((m, m))
     start = 0
     for a in range(n):
         stop = start + n - a
-        block = xs[a] * ys[a:]
-        block += xs[a:] * ys[a]
-        out[start:stop] = (block[:, :m] + block[:, m:]).real
+        rows = out[start:stop, start:]
+        np.einsum("jq,bjq->bj", v[a, start:], w[a:, start:], out=rows)
+        # row (a, a) has scale 1/2 where the other rows have sqrt(1/2)
+        rows[0] *= np.sqrt(0.5)
+        out[start:stop, :start] = out[:start, start:stop].T
         start = stop
-    out *= scale[:, None]
-    out *= scale[None, :]
     return out
 
 
-def _shift_term(k: np.ndarray, ia, ib, scale) -> np.ndarray:
-    """[tr(B_i K B_j)]_ij for real symmetric K, the matrix of S -> (K S + S K) / 2.
+def _add_shift_term(h: np.ndarray, k: np.ndarray, ia, ib, scale) -> None:
+    """Add [tr(B_i K B_j)]_ij for real symmetric K, the matrix of S -> (K S + S K) / 2, to h.
 
     Only pairs whose index sets (a, b) and (c, d) meet contribute, so the
     entries are added row by row: K[a, c] (1 + [c = b]) at column (c, b) and
-    K[b, c] (1 + [c = a]) at column (c, a), for every c.
+    K[b, c] (1 + [c = a]) at column (c, a), for every c.  Within one row the
+    columns are distinct, so each scattered add touches an entry once.
     """
-    n = k.shape[0]
-    m = ia.size
+    n, m = k.shape[0], ia.size
     pos = np.empty((n, n), dtype=np.intp)
     pos[ia, ib] = pos[ib, ia] = np.arange(m)
-    rows = np.arange(m)[:, None]
+    row_starts = np.arange(0, m * m, m)[:, None]
     eye = np.eye(n)
-    out = np.zeros((m, m))
-    out[rows, pos[ib]] += k[ia] * (1.0 + eye[ib])
-    out[rows, pos[ia]] += k[ib] * (1.0 + eye[ia])
-    out *= scale[:, None]
-    out *= scale[None, :]
-    return out
+    flat = h.reshape(-1)
+    for p, q in ((ia, ib), (ib, ia)):
+        cols = pos[q]
+        flat[row_starts + cols] += k[p] * (1.0 + eye[q]) * scale[:, None] * scale[cols]
 
 
 def _hessian(tv: np.ndarray, ia, ib, scale) -> np.ndarray:
-    """Hessian of S -> ||L(e^{2iS})||^2 at S = 0 in the symmetric basis."""
+    """Hessian of S -> ||L(e^{2iS})||^2 at S = 0 in the symmetric basis.
+
+    It is [tr(B_i K B_j) - 8 Re tr(B_i X B_j Y) - 8 Re tr(B_j X B_i Y)]_ij
+    with X = Tv^H and Y = Tv^t.  Y is the conjugate of X, so the two cross
+    terms are equal, and Re(conj(Y[a,c]) Y[d,b]) splits into the real and
+    imaginary parts of Y, which ``_bilinear`` takes in one pass.
+    """
     r0 = tv - tv.T
     p = tv.conj().T @ r0 - r0 @ tv.conj()
     k = 16.0 * (tv.conj().T @ tv).real - 8.0 * p.real
     k = 0.5 * (k + k.T)
-    cross = _bilinear(tv.conj().T, tv.T, ia, ib, scale)
-    cross *= 8.0
-    h = _shift_term(k, ia, ib, scale)
-    h -= cross
-    h -= cross.T
+    y = tv.T
+    h = _bilinear((y.real, y.imag), -16.0, ia, ib, scale)
+    _add_shift_term(h, k, ia, ib, scale)
     return h
 
 
 def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^t x = b by forward and back substitution in 256-row blocks.
+    """Solve L L^t x = b by forward and back substitution in 64-row blocks.
 
-    numpy has no triangular solver; a general solve on each diagonal block
-    plus matrix-vector updates costs a fraction of one LU of L L^t.
+    numpy has no triangular solver, so each diagonal block takes a general
+    solve (an LU of the block) and the rest are matrix-vector updates.  At
+    64 rows the LUs cost little: one solve at m = 528 takes 1.2 ms where
+    256-row blocks take 3.6 ms, and at m = 2080 7.3 ms where they take
+    16 ms.
     """
     x = b.copy()
-    edges = list(range(0, b.size, 256)) + [b.size]
+    edges = list(range(0, b.size, 64)) + [b.size]
     for lo, hi in zip(edges[:-1], edges[1:]):
         x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi])
         x[hi:] -= chol[hi:, lo:hi] @ x[lo:hi]
@@ -292,7 +322,7 @@ def _stop_reason(res: float, gnorm: float, it: int, opts: OptimizeOptions, gscal
     return ""
 
 
-def _newton(tm, v, f, it, opts, trace):
+def _newton(tm, v, f, it, opts, trace, restart):
     """Trust-region Newton steps from V until a stop; returns (V, f, A, it, reason).
 
     The step solves (H + mu I) s = -g, with H + mu I checked positive
@@ -300,6 +330,8 @@ def _newton(tm, v, f, it, opts, trace):
     actual decrease matches the quadratic model and grows after a rejected
     one, which also covers an indefinite H.  If mu exceeds the largest
     diagonal entry of H without a decrease, the restart stops as "armijo".
+    Each try shifts the diagonal of H in place and restores it before the
+    model reads H, so no m x m temporary is made per try.
     """
     n = tm.shape[0]
     tnorm_sq = float(_inner(tm, tm))
@@ -314,16 +346,23 @@ def _newton(tm, v, f, it, opts, trace):
             return v, f, a, it, reason
         g = (a.imag[ia, ib] + a.imag[ib, ia]) * scale
         h = _hessian(v.conj().T @ tm @ v, ia, ib, scale)
-        h_scale = float(np.max(np.diag(h)))
+        diag = h.reshape(-1)[:: g.size + 1]
+        h_diag = diag.copy()
+        h_scale = float(np.max(h_diag))
         mu = max(gnorm if mu is None else mu, 1e-14 * h_scale)
+        tries = 0
         while True:
             if mu > h_scale:
                 return v, f, a, it, "armijo"
+            tries += 1
+            np.add(h_diag, mu, out=diag)
             try:
-                chol = np.linalg.cholesky(h + mu * np.eye(g.size))
+                chol = np.linalg.cholesky(h)
             except np.linalg.LinAlgError:
                 mu *= TR_GROW
                 continue
+            finally:
+                diag[:] = h_diag
             step = -_cholesky_solve(chol, g)
             predicted = g @ step + 0.5 * step @ (h @ step)
             s_mat = np.zeros((n, n))
@@ -335,6 +374,11 @@ def _newton(tm, v, f, it, opts, trace):
             if f_new < f and ratio > TR_ACCEPT:
                 break
             mu *= TR_GROW
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "restart %d Newton step %d: mu %.3e, %d Cholesky tries, ratio %.4f, f %.12e",
+                restart, it + 1, mu, tries, ratio, f_new,
+            )
         if ratio > TR_EXPAND:
             mu /= TR_GROW**2
         v, f = v_new, f_new
@@ -379,6 +423,11 @@ def _lbfgs(tm: np.ndarray, v0: np.ndarray, opts: OptimizeOptions):
                 np.sqrt(f[j] / tnorm_sq), gnorm[j], iters[j], opts, gscale
             )
             if reason or gnorm[j] <= newton_grad:
+                if not reason and log.isEnabledFor(logging.DEBUG):
+                    log.debug(
+                        "restart %d hands off to Newton at iteration %d, gradient norm %.3e",
+                        ids[j], iters[j], gnorm[j] / gscale,
+                    )
                 done[ids[j]] = (v[j], f[j], a[j], int(iters[j]), reason)
                 keep[j] = False
         if not keep.all():
@@ -475,7 +524,7 @@ def optimize(t, opts: OptimizeOptions | None = None) -> ResidualReport:
     stops = []
     for r, (v, f, a, it, reason) in enumerate(finals):
         if not reason:
-            v, f, a, it, reason = _newton(tm, v, f, it, opts, traces[r])
+            v, f, a, it, reason = _newton(tm, v, f, it, opts, traces[r], r)
             finals[r] = (v, f, a, it, reason)
         stops.append(
             RestartStop(

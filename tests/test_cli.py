@@ -166,6 +166,11 @@ def test_verify_order3_near_circle_is_not_rejected(capsys):
     gap = [ch for ch in data["checks"] if ch["name"].startswith("gap_")]
     claims = [ch for ch in data["checks"] if ch["name"].startswith("claim")]
     assert {ch["truncation"] for ch in gap} == {ch["truncation"] for ch in claims}
+    # the e_1 series needs the witness's length too: at --truncation 512 its
+    # residual was 0.22, at the claims' truncation it is at rounding level
+    (e1,) = [ch for ch in data["checks"] if ch["name"] == "e1_norm"]
+    assert e1["truncation"] == claims[0]["truncation"] > 512
+    assert e1["pass"]
 
 
 def test_verify_pointwise_checks_have_no_truncation(capsys):

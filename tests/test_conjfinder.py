@@ -1,5 +1,7 @@
 """Riemannian search for symmetric-unitary conjugation certificates."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from csymcomp.compop import matrix_of_composition
 from csymcomp.conjfinder import (
     OptimizeOptions,
     _cayley,
+    _cholesky_solve,
     _euclidean_gradient,
     _defect_sq,
     _hessian,
@@ -87,6 +90,47 @@ def test_hessian_matches_finite_difference_along_cayley_steps():
         f_plus, f_0, f_minus = f_along(eps * e), f_along(0 * e), f_along(-eps * e)
         assert (f_plus - f_minus) / (2 * eps) == pytest.approx(g @ e, rel=1e-6)
         assert (f_plus - 2 * f_0 + f_minus) / eps**2 == pytest.approx(e @ h @ e, rel=1e-5)
+
+
+def test_hessian_matches_brute_force_traces():
+    # every entry from explicit basis matrices B_i and dense traces:
+    # H_ij = tr(B_i K B_j) - 8 Re tr(B_i X B_j Y) - 8 Re tr(B_j X B_i Y)
+    rng = np.random.default_rng(12)
+    n = 5
+    tm = matrix_of_composition(elliptic(OMEGA3, 0.4), n).data
+    v = _random_unitary(rng, n)
+    tv = v.conj().T @ tm @ v
+    x, y = tv.conj().T, tv.T
+    r0 = tv - tv.T
+    k = 16.0 * (tv.conj().T @ tv).real - 8.0 * (tv.conj().T @ r0 - r0 @ tv.conj()).real
+    k = 0.5 * (k + k.T)
+    ia, ib, scale = _sym_basis(n)
+    eye = np.eye(n)
+    basis = [s * (np.outer(eye[a], eye[b]) + np.outer(eye[b], eye[a])) for a, b, s in zip(ia, ib, scale)]
+    m = len(basis)
+    oracle = np.empty((m, m))
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            oracle[i, j] = (
+                np.trace(bi @ k @ bj)
+                - 8.0 * np.trace(bi @ x @ bj @ y).real
+                - 8.0 * np.trace(bj @ x @ bi @ y).real
+            )
+    h = _hessian(tv, ia, ib, scale)
+    assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 200, 528])
+def test_cholesky_solve_matches_dense_solve(m):
+    # block edges at multiples of 64: below, on and past one block, and at
+    # the Hessian dimension for N = 32
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    chol = np.linalg.cholesky(a @ a.T / m + np.eye(m))
+    b = rng.standard_normal(m)
+    want = np.linalg.solve(chol @ chol.T, b)
+    got = _cholesky_solve(chol, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_tangent_projection_is_skew_hermitian():
@@ -173,6 +217,35 @@ def test_stops_record_reason_gradient_and_iterations():
         assert s.iterations < opts.max_iters
     assert done.best_residual == min(s.residual for s in done.stops)
     assert done.iterations == sum(s.iterations for s in done.stops)
+
+
+def test_newton_takes_over_early():
+    # L-BFGS hands each restart to Newton at a relative gradient of
+    # NEWTON_GRAD; at 1e-5 the longest of these restarts took 1177
+    # iterations, at 1e-4 it takes 429
+    t = matrix_of_composition(involution(0.5), 16)
+    rep = optimize(t, OptimizeOptions(restarts=8, seed=42, max_iters=20000, grad_tol=1e-9))
+    assert all(s.reason == "grad" for s in rep.stops)
+    assert max(s.iterations for s in rep.stops) <= 600
+
+
+def test_debug_log_records_hand_off_and_newton_steps(caplog):
+    t = matrix_of_composition(involution(0.5), 8)
+    opts = OptimizeOptions(restarts=3, seed=42, max_iters=5000, grad_tol=1e-9)
+    with caplog.at_level(logging.DEBUG, logger="csymcomp.conjfinder"):
+        rep = optimize(t, opts)
+    messages = [r.getMessage() for r in caplog.records]
+    hand_offs = [msg for msg in messages if "hands off to Newton" in msg]
+    steps = [msg for msg in messages if "Newton step" in msg]
+    # restart 0 starts at the identity, a critical point, and stops at once
+    assert [msg.split()[1] for msg in hand_offs] == ["1", "2"]
+    assert steps and all("Cholesky tries" in msg for msg in steps)
+    # each accepted Newton step is one iteration past the hand-off
+    lbfgs_iters = [int(msg.split()[8].rstrip(",")) for msg in hand_offs]
+    assert len(steps) == sum(rep.stops[r].iterations - it for r, it in zip((1, 2), lbfgs_iters))
+    caplog.clear()
+    optimize(t, opts)
+    assert not caplog.records
 
 
 def test_identity_reaching_tol_skips_random_restarts():
