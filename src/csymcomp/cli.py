@@ -10,6 +10,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -239,7 +240,18 @@ def _check(name: str, residual: float, tol: float, truncation: int | None, **ext
     return {"name": name, "residual": residual, "tol": tol, "truncation": truncation, **extra}
 
 
-def _suite_identities(a: complex, n: int) -> list[dict]:
+def _order3_truncation(a: complex, n: int) -> int:
+    """Truncation of the order-3 witness: the claims' and the gap checks' larger."""
+    return max(witness_truncation(a, n), gap_truncation(a))
+
+
+def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
+    """The identity and adjoint checks at truncation n.
+
+    ``witness`` returns the order-3 witness of the same verify, if one is
+    built; when its truncation is n, the elliptic3 checks read its operator
+    matrix instead of building a second one.
+    """
     from .mobius import elliptic
 
     checks = []
@@ -253,11 +265,14 @@ def _suite_identities(a: complex, n: int) -> list[dict]:
                 z = r * np.exp(2j * np.pi * t / 4)
                 worst = max(worst, identity_id_check(phi, z))
         checks.append(_check(f"identity_id[{name}]", worst, TOL_POINTWISE, None))
-    symbols = [("elliptic3", elliptic(np.exp(2j * np.pi / 3), a))]
+    shared = None
+    if witness is not None and _order3_truncation(a, n) == n:
+        shared = witness().operator
+    symbols = [("elliptic3", elliptic(np.exp(2j * np.pi / 3), a), shared)]
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
-    symbols.append(("dilate_translate", MobiusMap(0.5, a / 2.0, 0, 1)))
-    for name, phi in symbols:
-        r1, r2, r3 = adjoint_kernel_checks(phi, n)
+    symbols.append(("dilate_translate", MobiusMap(0.5, a / 2.0, 0, 1), None))
+    for name, phi, matrix in symbols:
+        r1, r2, r3 = adjoint_kernel_checks(phi, n, matrix=matrix)
         for label, value in (("star1", r1), ("star2", r2), ("star3", r3)):
             checks.append(_check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, n))
     for k, value in enumerate(lemma_star_s_check(a, n)):
@@ -265,11 +280,10 @@ def _suite_identities(a: complex, n: int) -> list[dict]:
     return checks
 
 
-def _suite_order3(a: complex, n: int) -> list[dict]:
+def _suite_order3(w) -> list[dict]:
     # one witness serves the claims and the gap checks; the e_1 series has
     # the same tail length as the witness, so e1_norm runs at its truncation
-    w = build_order3_witness(a, 1.0, max(witness_truncation(a, n), gap_truncation(a)))
-    nw = w.truncation
+    a, nw = w.a, w.truncation
     orth1, eig1 = check_claim1_structure(w)
     c2 = check_claim2_norm(w)
     c4 = check_claim4(w)
@@ -324,12 +338,16 @@ def cmd_verify(args) -> int:
             return 1
     a, b, c = params["a"], params["b"], params["c"]
     checks: list[dict] = []
+    # built on first use, once per verify, by whichever suite reads it first
+    witness = None
+    if args.suite in ("all", "order3") and abs(a) > 0:
+        witness = functools.cache(lambda: build_order3_witness(a, 1.0, _order3_truncation(a, n)))
     try:
         if args.suite in ("all", "identities"):
-            checks.extend(_suite_identities(a, n))
-        if args.suite in ("all", "order3"):
-            if abs(a) > 0:
-                checks.extend(_suite_order3(a, n))
+            checks.extend(_suite_identities(a, n, witness))
+        if witness is not None:
+            checks.extend(_suite_order3(witness()))
+            witness = None  # free its matrix before the later suites build theirs
         if args.suite in ("all", "schroeder"):
             checks.extend(_suite_schroeder(b, c, n))
         if args.suite in ("all", "final"):

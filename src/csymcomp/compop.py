@@ -69,9 +69,32 @@ def matrix_of_composition(phi: MobiusMap, n: int) -> OperatorMatrix:
     return OperatorMatrix(backend.power_columns(phi.coefficients, n, n), symbol=phi)
 
 
-def adjoint(t: OperatorMatrix) -> OperatorMatrix:
-    """The conjugate transpose, as a transposed view of the conjugate."""
-    return OperatorMatrix(t.data.conj().T, symbol=t.symbol)
+@dataclass
+class AdjointMatrix:
+    """Adjoint of an operator matrix M, applied as conj(M^t conj(x)).
+
+    The product reads M in place, so no conjugated copy of M is made;
+    ``data`` forms M^H only when it is read.
+    """
+
+    of: OperatorMatrix
+
+    @property
+    def truncation(self) -> int:
+        return self.of.truncation
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.of.data.conj().T
+
+    def apply(self, f: H2Series) -> H2Series:
+        x = f.extended(self.truncation).coeffs
+        return H2Series((self.of.data.T @ x.conj()).conj())
+
+
+def adjoint(t: OperatorMatrix) -> AdjointMatrix:
+    """The conjugate transpose of ``t``."""
+    return AdjointMatrix(t)
 
 
 def involution_powers(a: complex, exponents, n: int) -> list[H2Series]:
@@ -88,15 +111,21 @@ def e_function(a: complex, k: int, n: int) -> H2Series:
     return out
 
 
-def adjoint_kernel_checks(phi: MobiusMap, n: int, tol: float = DEFAULT_TOL):
+def adjoint_kernel_checks(
+    phi: MobiusMap, n: int, tol: float = DEFAULT_TOL, matrix: OperatorMatrix | None = None
+):
     """Residuals of the three adjoint identities at the interior fixed point.
 
     For phi(a) = a with |a| < 1 the adjoint fixes K_a, scales the first
     derivative kernel by conj(phi'(a)), and acts on the second derivative
     kernel by conj(phi'(a))^2 plus a conj(phi''(a)) multiple of the first.
+    ``matrix`` is the matrix of phi at truncation n when the caller already
+    has it; otherwise it is built here.
     """
     a = interior_fixed_point(phi, tol)
-    mstar = adjoint(matrix_of_composition(phi, n))
+    if matrix is None:
+        matrix = matrix_of_composition(phi, n)
+    mstar = adjoint(matrix)
     d1 = derivative_at(phi, a).conjugate()
     d2 = second_derivative_at(phi, a).conjugate()
     k0 = kernel(KernelSpec(a, 0), n)

@@ -13,14 +13,16 @@ Each restart runs Riemannian L-BFGS (Absil, Mahony & Sepulchre,
 *Math. Program.* 2013 for the Cayley step), with all restarts advanced
 together as (R, N, N) stacks.  Near a minimum the defect is very badly
 conditioned (Hessian eigenvalues spread over ten decades), so once the
-relative gradient norm falls below ``NEWTON_GRAD`` = 1e-4 the restart
+relative gradient norm falls below ``NEWTON_GRAD`` = 1e-3 the restart
 finishes with trust-region Newton steps on the exact Hessian, which
 converge in a few tens of steps where first-order steps would need tens of
 thousands of iterations.  The hand-off point trades L-BFGS iterations for
 Newton steps, whose cost grows as m^3 in the Hessian dimension
-m = N (N + 1) / 2: handing off at 1e-4 rather than 1e-5 halves the
-iterations of a search at N = 16..32, while 1e-3 would make each N = 64
-search about a third slower.
+m = N (N + 1) / 2.  Each Newton step costs one Hessian and, because the
+Levenberg shift falls by the same factor after a good step as the accepted
+shifts do, about 1.1 Cholesky factorizations.  At that price handing off at
+1e-3 rather than 1e-4 halves the iterations of a search at N = 16..32 and
+leaves the N = 64 searches of criterion 6 as fast as before.
 
 The module logger ``csymcomp.conjfinder`` writes DEBUG records, off by
 default: one per restart at the hand-off (iteration and gradient norm) and
@@ -47,19 +49,27 @@ REORTHO_EVERY = 25
 #: Number of (step, gradient change) pairs kept by L-BFGS.
 LBFGS_MEMORY = 10
 #: Relative gradient norm below which a restart switches to Newton steps.
-#: L-BFGS crawls the ill-conditioned valley, while a dense Newton step at
-#: N <= 32 (m <= 528) costs under 10 ms, so at 1e-4 a search at N = 16..32
-#: takes half the iterations it took at 1e-5 and finishes in about 0.6 of
-#: the time, to the same floors.  1e-3 is faster still at N <= 32 but makes
-#: the N = 64 searches of criterion 6 about a third slower, because each
-#: Newton step there costs 0.4-0.6 s.
-NEWTON_GRAD = 1e-4
+#: L-BFGS crawls the ill-conditioned valley from 1e-3 down, spending most
+#: of a search there, while a dense Newton step at N <= 32 (m <= 528) costs
+#: under 10 ms.  At 1e-3 rather than 1e-4 the longest restart of
+#: involution(0.5) at N = 16 takes 205 iterations instead of 429, a search
+#: at N = 16..32 takes about 0.6 of the time, and the criterion 6 searches,
+#: whose N = 64 Newton steps cost 0.3-0.5 s each, take no longer (77-89 s
+#: against 89 s).  That holds only with the shift update below: with the
+#: shift divided by TR_GROW**2 after a good step, 1e-3 made the N = 64
+#: searches about 30 % slower.
+NEWTON_GRAD = 1e-3
 #: Largest Hessian dimension N (N + 1) / 2 for Newton steps (N <= 90): the
 #: dense Hessian and its Cholesky factor take 8 m^2 bytes each, so larger
 #: truncations stay with L-BFGS.
 NEWTON_MAX_DIM = 4096
 #: Trust-region acceptance thresholds on actual / predicted decrease, and the
-#: factor by which the Levenberg shift grows after a rejected Newton step.
+#: factor by which the Levenberg shift grows after a rejected Newton step or
+#: a failed Cholesky try, and shrinks after a step with ratio > TR_EXPAND.
+#: The accepted shift falls by about TR_GROW per step near a floor, so
+#: shrinking by TR_GROW keeps the next step's first try positive definite
+#: (1.05 tries per step for involution(0.5) at N = 16); shrinking by
+#: TR_GROW**2 overshot and cost 1.4-1.6 tries per step.
 TR_ACCEPT = 0.25
 TR_EXPAND = 0.75
 TR_GROW = 4.0
@@ -326,10 +336,11 @@ def _newton(tm, v, f, it, opts, trace, restart):
     """Trust-region Newton steps from V until a stop; returns (V, f, A, it, reason).
 
     The step solves (H + mu I) s = -g, with H + mu I checked positive
-    definite by Cholesky.  The Levenberg shift mu shrinks after a step whose
-    actual decrease matches the quadratic model and grows after a rejected
-    one, which also covers an indefinite H.  If mu exceeds the largest
-    diagonal entry of H without a decrease, the restart stops as "armijo".
+    definite by Cholesky.  The Levenberg shift mu shrinks by TR_GROW after a
+    step whose actual decrease matches the quadratic model and grows by
+    TR_GROW after a rejected one, which also covers an indefinite H.  If mu
+    exceeds the largest diagonal entry of H without a decrease, the restart
+    stops as "armijo".
     Each try shifts the diagonal of H in place and restores it before the
     model reads H, so no m x m temporary is made per try.
     """
@@ -380,7 +391,7 @@ def _newton(tm, v, f, it, opts, trace, restart):
                 restart, it + 1, mu, tries, ratio, f_new,
             )
         if ratio > TR_EXPAND:
-            mu /= TR_GROW**2
+            mu /= TR_GROW
         v, f = v_new, f_new
         it += 1
         trace.append((it, np.sqrt(f / tnorm_sq)))

@@ -184,6 +184,7 @@ def discrimination():
     return results, stops, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_6_residual_discrimination(capsys, discrimination):
     results, stops, elapsed = discrimination
     rot_ok = all(r <= 1e-12 for r in results["rotation"])
@@ -208,6 +209,7 @@ def test_criterion_6_residual_discrimination(capsys, discrimination):
         report(6, "residual discrimination", ok, detail)
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
