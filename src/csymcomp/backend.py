@@ -60,10 +60,10 @@ def reciprocal(f, n: int) -> np.ndarray:
 # times longer.  Doubling costs about long * short**2 multiply-adds in a few
 # matrix products; the sweep costs about 8 us of numpy overhead per
 # antidiagonal.  Measured with one OpenBLAS thread, doubling wins at every
-# such shape from 64 x 16 to 6144 x 64 (by 1.6x at 256 x 64, 36x at
-# 512 x 2), and loses once the short side passes about 100 (512 x 128,
-# 512 x 178).  Square blocks never qualify, so every operator matrix comes
-# from the sweep.
+# such shape from 64 x 16 to ``paperchecks.MAX_TRUNCATION`` x 64 (by 1.6x
+# at 256 x 64, 36x at 512 x 2), and loses once the short side passes about
+# 100 (512 x 128, 512 x 178).  Square blocks never qualify, so every
+# operator matrix comes from the sweep.
 _DOUBLING_MAX_SIDE = 64
 _DOUBLING_ASPECT = 4
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .backend import backend_name
-from .compop import adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
+from .compop import OperatorMatrix, adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
 from .conjfinder import OptimizeOptions, optimize, write_study_csv
 from .csym import CsVerdict, decide
 from .errors import CsymcompError, NotSelfMapError
@@ -42,8 +42,7 @@ from .paperchecks import (
     check_lemma_tz,
     check_theorem_final,
     gap_report,
-    gap_truncation,
-    witness_truncation,
+    order3_truncation,
 )
 
 TOL_MATRIX = 1e-7
@@ -240,17 +239,13 @@ def _check(name: str, residual: float, tol: float, truncation: int | None, **ext
     return {"name": name, "residual": residual, "tol": tol, "truncation": truncation, **extra}
 
 
-def _order3_truncation(a: complex, n: int) -> int:
-    """Truncation of the order-3 witness: the claims' and the gap checks' larger."""
-    return max(witness_truncation(a, n), gap_truncation(a))
-
-
 def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
     """The identity and adjoint checks at truncation n.
 
-    ``witness`` returns the order-3 witness of the same verify, if one is
-    built; when its truncation is n, the elliptic3 checks read its operator
-    matrix instead of building a second one.
+    ``witness`` returns the order-3 witness of the same verify, if it has
+    one.  Its truncation is at least n, and entry (m, j) of an operator
+    matrix does not depend on the truncation, so the elliptic3 checks read
+    the leading n x n block of its matrix instead of building a second one.
     """
     from .mobius import elliptic
 
@@ -266,8 +261,8 @@ def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
                 worst = max(worst, identity_id_check(phi, z))
         checks.append(_check(f"identity_id[{name}]", worst, TOL_POINTWISE, None))
     shared = None
-    if witness is not None and _order3_truncation(a, n) == n:
-        shared = witness().operator
+    if witness is not None:
+        shared = OperatorMatrix(witness().operator.data[:n, :n])
     symbols = [("elliptic3", elliptic(np.exp(2j * np.pi / 3), a), shared)]
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
     symbols.append(("dilate_translate", MobiusMap(0.5, a / 2.0, 0, 1), None))
@@ -340,8 +335,8 @@ def cmd_verify(args) -> int:
     checks: list[dict] = []
     # built on first use, once per verify, by whichever suite reads it first
     witness = None
-    if args.suite in ("all", "order3") and abs(a) > 0:
-        witness = functools.cache(lambda: build_order3_witness(a, 1.0, _order3_truncation(a, n)))
+    if args.suite == "order3" or (args.suite == "all" and abs(a) > 0):
+        witness = functools.cache(lambda: build_order3_witness(a, 1.0, order3_truncation(a, n)))
     try:
         if args.suite in ("all", "identities"):
             checks.extend(_suite_identities(a, n, witness))

@@ -45,6 +45,11 @@ log = logging.getLogger(__name__)
 #: Armijo sufficient-decrease constant and halving cap.
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 50
+#: Initial trial step of each line search; a steepest-descent step (the
+#: first of a restart) has length at most this.
+INITIAL_STEP = 1.0
+#: Relative residual at which a restart stops (``"tol"``).
+RESIDUAL_TOL = 1e-13
 REORTHO_EVERY = 25
 #: Number of (step, gradient change) pairs kept by L-BFGS.
 LBFGS_MEMORY = 10
@@ -79,19 +84,15 @@ TR_GROW = 4.0
 class OptimizeOptions:
     """Search settings.
 
-    Each restart stops at the first of: relative residual <= ``tol``
-    (``"tol"``); Riemannian gradient norm ||A||_F <= ``grad_tol`` *
-    max(||T||_F^2, 1) (``"grad"``); no step that decreases the defect
-    can be found (``"armijo"``); ``max_iters`` accepted steps
-    (``"max_iters"``).  ``step`` is the initial trial step of each line
-    search; a steepest-descent step (the first of a restart) has length at
-    most ``step``.
+    Each restart stops at the first of: relative residual <=
+    ``RESIDUAL_TOL`` (``"tol"``); Riemannian gradient norm ||A||_F <=
+    ``grad_tol`` * max(||T||_F^2, 1) (``"grad"``); no step that decreases
+    the defect can be found (``"armijo"``); ``max_iters`` accepted steps
+    (``"max_iters"``).
     """
 
     restarts: int = 8
     max_iters: int = 300
-    step: float = 1.0
-    tol: float = 1e-13
     grad_tol: float = 1e-13
     seed: int = 42
 
@@ -323,7 +324,7 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _stop_reason(res: float, gnorm: float, it: int, opts: OptimizeOptions, gscale: float) -> str:
     """The first stop condition of :class:`OptimizeOptions` that holds, or ""."""
-    if res <= opts.tol:
+    if res <= RESIDUAL_TOL:
         return "tol"
     if gnorm <= opts.grad_tol * gscale:
         return "grad"
@@ -463,12 +464,12 @@ def _lbfgs(tm: np.ndarray, v0: np.ndarray, opts: OptimizeOptions):
         slope = _inner(a, d)
         fresh = ~rho.any(axis=1) | (slope >= 0.0)
         if fresh.any():
-            # steepest descent of length at most opts.step when there is
+            # steepest descent of length at most INITIAL_STEP when there is
             # no usable curvature information
             rho[fresh] = 0.0
             d[fresh] = -a[fresh] / np.maximum(gnorm[fresh], 1.0)[:, None, None]
             slope[fresh] = _inner(a[fresh], d[fresh])
-        step = np.full(ids.size, opts.step)
+        step = np.full(ids.size, INITIAL_STEP)
         v_new = _cayley(v, step[:, None, None] * d)
         r_new = _defect_matrix(tm, v_new)
         f_new = _inner(r_new, r_new)
@@ -513,7 +514,7 @@ def optimize(t, opts: OptimizeOptions | None = None) -> ResidualReport:
     """Minimize the conjugation defect over symmetric unitaries U = V V^t.
 
     Restart 0 starts from the identity, which ends the search at once if
-    it already meets ``opts.tol``; otherwise the remaining restarts start
+    it already meets ``RESIDUAL_TOL``; otherwise the remaining restarts start
     from seeded random unitaries and all of them run together.  Each
     restart stops on the first condition listed in
     :class:`OptimizeOptions`, and ``ResidualReport.stops`` records which.
@@ -529,7 +530,7 @@ def optimize(t, opts: OptimizeOptions | None = None) -> ResidualReport:
     tnorm_sq = float(_inner(tm, tm))
 
     starts = [np.eye(n, dtype=np.complex128)]
-    if np.sqrt(_defect_sq(tm, starts[0]) / tnorm_sq) > opts.tol:
+    if np.sqrt(_defect_sq(tm, starts[0]) / tnorm_sq) > RESIDUAL_TOL:
         starts += [_random_unitary(rng, n) for _ in range(n_restarts - 1)]
     finals, traces = _lbfgs(tm, np.array(starts), opts)
     stops = []

@@ -106,24 +106,22 @@ class KernelSpec:
 def kernel(spec: KernelSpec, n: int) -> H2Series:
     """Coefficients of K_w (order 0) or K_w^[j]: pairing gives f^(j)(w).
 
-    Coefficient of z^m is m(m-1)...(m-j+1) conj(w)^(m-j) for m >= j,
-    accumulated by a falling-factorial recurrence.
+    Coefficient of z^m is m(m-1)...(m-j+1) conj(w)^(m-j) for m >= j.  The
+    falling factorial is a product of integers, exact in floating point
+    while it stays below 2^53.
     """
     w = complex(spec.w).conjugate()
     j = spec.order
     out = np.zeros(n, dtype=np.complex128)
     if j >= n:
         return H2Series(out)
-    c = float(math.factorial(j))  # coefficient at m = j is j!/(0)! = j!
-    out[j] = c
-    for m in range(j + 1, n):
-        c = c * m / (m - j)
-        out[m] = c
-    # multiply in the powers of conj(w)
-    powers = np.ones(n - j, dtype=np.complex128)
-    for i in range(1, n - j):
-        powers[i] = powers[i - 1] * w
-    out[j:] *= powers
+    m = np.arange(j, n, dtype=np.float64)
+    falling = np.ones(n - j)
+    for i in range(j):
+        falling *= m - i
+    powers = np.full(n - j, w, dtype=np.complex128)
+    powers[0] = 1.0
+    out[j:] = falling * np.cumprod(powers)
     return H2Series(out)
 
 

@@ -35,8 +35,14 @@ DEFAULT_TRUNCATION = 512
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
-#: Size of the phi_a families the order-3 claims check by default.
-_DEFAULT_K_MAX = 6
+#: Largest truncation of the order-3 witness: its dense operator matrix
+#: takes 16 N^2 bytes, 600 MB at the cap.
+MAX_TRUNCATION = 6144
+
+#: Size of the phi_a families the order-3 claims check.
+_K_MAX = 6
+
+_CENTER_ERROR = "witness requires a in the open disk, a != 0"
 
 
 def _bz_over_one_minus_cz(b: complex, c: complex) -> MobiusMap:
@@ -120,9 +126,9 @@ class Order3Witness:
 
     @cached_property
     def phi_a_powers(self) -> np.ndarray:
-        """Column j holds phi_a**j, for every j the default claims read:
+        """Column j holds phi_a**j, for every j the claims read:
         3k + 2 for k <= 6 and 3k for the delta-law terms."""
-        width = max(3 * _DEFAULT_K_MAX + 3, 3 * _delta_terms(self.rho) - 2)
+        width = max(3 * _K_MAX + 3, 3 * _delta_terms(self.rho) - 2)
         return backend.power_columns(involution(self.a).coefficients, self.truncation, width)
 
     @cached_property
@@ -132,9 +138,6 @@ class Order3Witness:
 
     def phi_a_family(self, exponents) -> list[H2Series]:
         """phi_a**e for e in exponents, read from ``phi_a_powers``."""
-        exponents = list(exponents)
-        if max(exponents) >= self.phi_a_powers.shape[1]:  # past the default claims
-            return involution_powers(self.a, exponents, self.truncation)
         return [H2Series(self.phi_a_powers[:, e]) for e in exponents]
 
 
@@ -144,18 +147,15 @@ def build_order3_witness(
     """Assemble h0, h1, g, f for the elliptic symbol of order 3 centered at a.
 
     Only |c0| is pinned (to 1/(1-|a|^4)); the phase is a free choice and
-    every downstream residual is invariant under it.  When ``n`` is omitted
-    the truncation adapts to the witness pole location, which approaches
-    the unit circle as |a| -> 1.
+    every downstream residual is invariant under it.  The truncation
+    defaults to ``order3_truncation(a)``.
     """
     a = complex(a)
     r = abs(a)
     if not 0 < r < 1:
-        raise DomainError("witness requires a in the open disk, a != 0")
+        raise DomainError(_CENTER_ERROR)
     if n is None:
-        # the eigen checks route the witness through the operator matrix,
-        # which needs roughly twice the tail margin of the plain norm checks
-        n = min(2 * gap_truncation(a), 6144)
+        n = order3_truncation(a)
     ab = a.conjugate()
     rho = -(ab**2 / a) * (1 - r**2) / (1 - r**4)
     rho_tilde = -(ab**2 / a) * (1 - r**6) / (1 - r**4)
@@ -179,12 +179,12 @@ def build_order3_witness(
     return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, n)
 
 
-def check_claim1_structure(w: Order3Witness, k_max: int = _DEFAULT_K_MAX):
+def check_claim1_structure(w: Order3Witness):
     """h0 is orthogonal to the phi_a^(3k+2) family and is fixed by the operator.
 
     Returns ``(orthogonality residuals, eigen residual)``.
     """
-    fam = w.phi_a_family(3 * k + 2 for k in range(k_max + 1))
+    fam = w.phi_a_family(3 * k + 2 for k in range(_K_MAX + 1))
     orth = [abs(inner_product(w.h0, v)) for v in fam]
     eig = (w.operator.apply(w.h0) - w.h0).norm()
     return orth, eig
@@ -214,10 +214,10 @@ def check_claim2_norm(w: Order3Witness):
     }
 
 
-def check_claim3_moments(w: Order3Witness, k_max: int = _DEFAULT_K_MAX) -> list[float]:
+def check_claim3_moments(w: Order3Witness) -> list[float]:
     """<h0, phi_a^(3k)> = c0 (1-|a|^4) rho^k."""
     r = abs(w.a)
-    fam = w.phi_a_family(3 * k for k in range(k_max + 1))
+    fam = w.phi_a_family(3 * k for k in range(_K_MAX + 1))
     return [
         abs(inner_product(w.h0, v) - w.c0 * (1 - r**4) * w.rho**k)
         for k, v in enumerate(fam)
@@ -229,7 +229,7 @@ def _delta_terms(rho: complex) -> int:
     return math.ceil(max(60.0, math.log(1e-18) / math.log(max(abs(rho), 1e-6))))
 
 
-def check_claim4(w: Order3Witness, k_max: int = _DEFAULT_K_MAX):
+def check_claim4(w: Order3Witness):
     """Structure of h1: orthogonality, eigenrelation, and the delta law.
 
     Returns a dict with the orthogonality residuals of <h1, phi_a^(3k)>,
@@ -239,7 +239,7 @@ def check_claim4(w: Order3Witness, k_max: int = _DEFAULT_K_MAX):
     """
     a, r = w.a, abs(w.a)
     ab = a.conjugate()
-    fam = w.phi_a_family(3 * k for k in range(k_max + 1))
+    fam = w.phi_a_family(3 * k for k in range(_K_MAX + 1))
     orth = [abs(inner_product(w.h1, v)) for v in fam]
 
     diff = w.h1 - ab * w.h0
@@ -288,37 +288,33 @@ def _tail_length(a: complex) -> int:
     return int(math.ceil(22.0 / math.log(pole_radius)))
 
 
-def gap_truncation(a: complex) -> int:
-    """Truncation making the series tail of f negligible at 1e-9 scale,
-    widened as |a| -> 1."""
-    if abs(a) < 0.05:
-        return DEFAULT_TRUNCATION
-    return min(max(DEFAULT_TRUNCATION, _tail_length(a)), 6144)
-
-
-def witness_truncation(a: complex, n: int) -> int:
-    """Truncation for the order-3 claims when at least n is asked for.
+def order3_truncation(a: complex, n: int = DEFAULT_TRUNCATION) -> int:
+    """Truncation of the order-3 witness when at least n is asked for.
 
     The eigen checks route the witness through the operator matrix, whose
     tail needs a margin of about 1.35 times the tail of f; this keeps
-    n = 512 up to |a| = 0.70 and passes every claim at |a| = 0.85.
+    n = 512 up to |a| = 0.71 and passes every claim at |a| = 0.95.  The
+    result is at least 512, so that the tail of f is negligible at 1e-9
+    scale, and at most ``MAX_TRUNCATION`` unless n asks for more.
     """
-    if abs(a) < 0.05:  # the tail is shorter than 20 terms
+    r = abs(a)
+    if not 0 < r < 1:
+        raise DomainError(_CENTER_ERROR)
+    n = max(n, DEFAULT_TRUNCATION)
+    if r < 0.05:  # the tail is shorter than 20 terms
         return n
-    return max(n, min(math.ceil(1.35 * _tail_length(a)), 6144))
+    return max(n, min(math.ceil(1.35 * _tail_length(a)), MAX_TRUNCATION))
 
 
 def check_theorem_main_gap(a: complex, n: int | None = None) -> GapReport:
     """The incompatibility of the two norms of f, evaluated numerically.
 
-    Builds the witness at truncation n (default ``gap_truncation(a)``) and
-    returns its ``gap_report``.
+    Builds the witness at truncation n (default ``order3_truncation(a)``)
+    and returns its ``gap_report``.
     """
     a = complex(a)
     if a == 0:
         raise DomainError("a = 0 is the rotation case; no contradiction exists")
-    if n is None:
-        n = gap_truncation(a)
     return gap_report(build_order3_witness(a, 1.0, n))
 
 

@@ -173,6 +173,22 @@ def test_verify_order3_near_circle_is_not_rejected(capsys):
     assert e1["pass"]
 
 
+@pytest.mark.parametrize("a", ["0", "1"])
+def test_verify_order3_rejects_bad_center(capsys, a):
+    # a = 0 is the rotation case and |a| = 1 leaves the disk: one error line
+    code, out, err = run(capsys, "verify", "--json", "--suite", "order3", "--a", a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_all_skips_order3_at_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", "0", "--truncation", "64")
+    assert code == 0
+    names = [ch["name"] for ch in json.loads(out)["checks"]]
+    assert names and not any(n.startswith(("claim", "gap_")) for n in names)
+
+
 def test_verify_pointwise_checks_have_no_truncation(capsys):
     code, out, _ = run(capsys, "verify", "--json", "--suite", "identities", "--truncation", "64")
     assert code == 0
@@ -181,11 +197,13 @@ def test_verify_pointwise_checks_have_no_truncation(capsys):
         assert ch["truncation"] == want
 
 
-def test_verify_builds_each_block_once(capsys, monkeypatch):
+@pytest.mark.parametrize("a", ["0.5", "0.8"])
+def test_verify_builds_each_block_once(capsys, monkeypatch, a):
     # the suite reads each power block once at the shape it needs:
-    # three full N x N operator matrices (the order-3 witness's serves the
-    # elliptic3 adjoint checks too), few truncated products and one
-    # order-3 witness for the claims and the gap checks together
+    # three full operator matrices (the order-3 witness's serves the
+    # elliptic3 adjoint checks too, also when it is wider than N), few
+    # truncated products and one order-3 witness for the claims and the gap
+    # checks together
     import sys
 
     from csymcomp import backend, hardy, paperchecks
@@ -217,9 +235,9 @@ def test_verify_builds_each_block_once(capsys, monkeypatch):
         ):
             if getattr(module, attr, None) is orig:
                 monkeypatch.setattr(module, attr, new)
-    code, _, _ = run(capsys, "verify", "--json", "--suite", "all", "--truncation", "512")
+    code, _, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", a, "--truncation", "512")
     assert code == 0
-    assert squares == [512] * len(squares)
+    assert set(squares) <= {512, paperchecks.order3_truncation(float(a))}
     assert len(squares) <= 3, f"{len(squares)} full builds"
     assert len(products) <= 30, f"{len(products)} products"
     assert len(witnesses) == 1, f"{len(witnesses)} witness builds"

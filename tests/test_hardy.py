@@ -174,6 +174,30 @@ def test_derivative_kernel_reproduces_derivatives():
         assert inner_product(f, kj) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("w", [0.5, 0.3 + 0.4j, -0.9j, 0.999])
+def test_kernel_matches_coefficient_loop(w):
+    # reference: the falling factorial and the powers of conj(w), one
+    # coefficient at a time; the vectorized kernel does the same arithmetic
+    def loop(w, j, n):
+        out = np.zeros(n, dtype=complex)
+        if j >= n:
+            return out
+        c = float(math.factorial(j))
+        out[j] = c
+        for m in range(j + 1, n):
+            c = c * m / (m - j)
+            out[m] = c
+        powers = np.ones(n - j, dtype=complex)
+        for i in range(1, n - j):
+            powers[i] = powers[i - 1] * complex(w).conjugate()
+        out[j:] *= powers
+        return out
+
+    for j in range(4):
+        for n in (1, 2, 3, 64, 512, 6144):
+            assert np.array_equal(kernel(KernelSpec(w, j), n).coeffs, loop(w, j, n)), (j, n)
+
+
 def test_kernel_norm_closed_form():
     w = 0.6
     k = reproducing_kernel(w, 512)

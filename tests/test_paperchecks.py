@@ -21,7 +21,7 @@ from csymcomp.paperchecks import (
     check_theorem_final,
     check_theorem_main_gap,
     gap_report,
-    gap_truncation,
+    order3_truncation,
     schroeder_sigma,
 )
 
@@ -112,16 +112,6 @@ def test_claim4_delta_coefficient_law(witness):
     assert out["delta_law"] < TOL
 
 
-def test_claims_past_the_witness_powers(witness):
-    # a family wider than the witness's one phi_a build gets its own build,
-    # whose columns agree with the shared ones
-    width = witness.phi_a_powers.shape[1]
-    short = check_claim3_moments(witness)
-    wide = check_claim3_moments(witness, k_max=width // 3 + 2)
-    assert wide[: len(short)] == pytest.approx(short, abs=1e-16)
-    assert max(wide) < TOL
-
-
 @pytest.mark.parametrize("a", [0.3, 0.5 + 0.2j, 0.25 - 0.55j])
 def test_witness_checks_at_complex_centers(a):
     w = build_order3_witness(a)
@@ -167,10 +157,30 @@ def test_gap_positive_across_moduli():
         assert rep.gap > 0
 
 
-def test_gap_truncation_grows_near_boundary():
-    assert gap_truncation(0.9) > gap_truncation(0.3)
-    assert 512 <= gap_truncation(0.05) <= 6144
-    assert 512 <= gap_truncation(0.95) <= 6144
+def test_order3_truncation_grows_near_boundary():
+    assert order3_truncation(0.9) > order3_truncation(0.3)
+    assert 512 <= order3_truncation(0.05) <= 6144
+    assert 512 <= order3_truncation(0.95) <= 6144
+
+
+@pytest.mark.parametrize(
+    "r,want",
+    [(0.02, 512), (0.3, 512), (0.5, 512), (0.69, 512), (0.7, 512), (0.71, 512),
+     (0.72, 516), (0.74, 581), (0.75, 617), (0.8, 860), (0.85, 1275), (0.9, 2119),
+     (0.95, 4685), (0.98, 6144)],
+)
+def test_order3_truncation_values(r, want):
+    # the truncation depends on |a| only
+    assert order3_truncation(r) == want
+    assert order3_truncation(r * cmath.exp(2.1j)) == want
+    assert order3_truncation(r, 32) == want
+    assert order3_truncation(r, 7000) == 7000
+
+
+@pytest.mark.parametrize("a", [0, 1, -1j, 1.5, 0.6 + 0.8j])
+def test_order3_truncation_rejects_bad_centers(a):
+    with pytest.raises(DomainError):
+        order3_truncation(a)
 
 
 def test_e1_norm_identity():
