@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .backend import backend_name
 from .compop import OperatorMatrix, adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
-from .conjfinder import OptimizeOptions, optimize, write_study_csv
+from .conjfinder import OptimizeOptions, optimize, schedule_search
 from .csym import CsVerdict, decide
 from .errors import CsymcompError, NotSelfMapError
 from .hardy import identity_id_check
@@ -377,30 +377,34 @@ def cmd_residual(args) -> int:
         schedule = [int(s) for s in args.truncation_schedule.split(",")]
     except ValueError:
         schedule = []
-    if not schedule or min(schedule) < 1:
+    if not schedule or min(schedule) < 1 or schedule != sorted(schedule):
         print(
-            f"error: --truncation-schedule must be positive integers separated by commas, "
-            f"got {args.truncation_schedule!r}",
+            f"error: --truncation-schedule must be nondecreasing positive integers separated by "
+            f"commas, got {args.truncation_schedule!r}",
             file=sys.stderr,
         )
         return 1
+    if args.restarts < 1:
+        print(f"error: --restarts must be at least 1, got {args.restarts}", file=sys.stderr)
+        return 1
+    if args.max_iters < 0:
+        print(f"error: --max-iters must be nonnegative, got {args.max_iters}", file=sys.stderr)
+        return 1
     opts = OptimizeOptions(restarts=args.restarts, seed=args.seed, max_iters=args.max_iters)
-    rows = []
     try:
-        for n in schedule:
-            m = matrix_of_composition(phi, n)
-            rep = optimize(m, opts)
-            rows.append(
-                {
-                    "truncation": n,
-                    "best_residual": rep.best_residual,
-                    "iterations": rep.iterations,
-                    "restarts": rep.restarts,
-                }
-            )
+        reports = schedule_search(phi, schedule, opts)
     except NotSelfMapError:
         print("error: not a self-map of the unit disk", file=sys.stderr)
         return 2
+    rows = [
+        {
+            "truncation": n,
+            "best_residual": rep.best_residual,
+            "iterations": rep.iterations,
+            "restarts": rep.restarts,
+        }
+        for n, rep in zip(schedule, reports)
+    ]
     report = {
         "tool_version": __version__,
         "seed": args.seed,
@@ -426,6 +430,9 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.restarts < 1:
+        print(f"error: --restarts must be at least 1, got {args.restarts}", file=sys.stderr)
+        return 1
     try:
         param, values = _grid_values(args.grid)
     except ValueError as exc:
@@ -447,7 +454,9 @@ def cmd_sweep(args) -> int:
         except NotSelfMapError:
             row["class"] = "not_self_map"
             row["is_cs"] = False
-        if args.residual_truncation:
+        if args.residual_truncation and row["class"] == "not_self_map":
+            row["best_residual"] = None
+        elif args.residual_truncation:
             m = matrix_of_composition(phi, args.residual_truncation)
             rep = optimize(m, OptimizeOptions(restarts=args.restarts, seed=args.seed))
             row["best_residual"] = _sig15(rep.best_residual)

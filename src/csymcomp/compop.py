@@ -211,15 +211,3 @@ def eigen_decompose(t: OperatorMatrix, tol: float = 1e-8) -> EigenReport:
         )
     return report
 
-
-def point_spectrum_formula(phi: MobiusMap, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Powers of the multiplier at the interior fixed point: {phi'(a)^k, k < n}."""
-    a = interior_fixed_point(phi, tol)
-    lam = derivative_at(phi, a)
-    return lam ** np.arange(n)
-
-
-def schroeder_eigenrelation_residual(phi: MobiusMap, sigma: H2Series, b: complex) -> float:
-    """||M(phi) sigma - b sigma|| at the truncation of sigma."""
-    m = matrix_of_composition(phi, sigma.truncation)
-    return (m.apply(sigma) - complex(b) * sigma).norm()

@@ -162,17 +162,6 @@ def multiply(f: H2Series, g: H2Series) -> H2Series:
     return H2Series(backend.cauchy_product(f.coeffs, g.coeffs, n))
 
 
-def power(f: H2Series, k: int) -> H2Series:
-    """k-th power by repeated truncated multiplication; power(f, 0) = 1."""
-    if k < 0:
-        raise DomainError("power exponent must be nonnegative")
-    n = f.truncation
-    out = constant(1.0, n)
-    for _ in range(k):
-        out = multiply(out, f)
-    return out
-
-
 def reciprocal(f: H2Series) -> H2Series:
     """Multiplicative inverse as a truncated series; needs f(0) != 0."""
     if f.coeffs[0] == 0:

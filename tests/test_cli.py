@@ -264,6 +264,27 @@ def test_residual_rotation_is_zero(capsys):
     assert all(r["best_residual"] <= 1e-12 for r in rows)
 
 
+def test_residual_warm_starts_each_larger_truncation(capsys, monkeypatch):
+    # the default schedule hands --restarts starts to the search at N = 8
+    # and one warm start at each larger N, never eight random ones
+    from csymcomp import conjfinder
+
+    stacks = []
+    lbfgs = conjfinder._lbfgs
+
+    def counting(tm, v0, opts):
+        stacks.append(v0.shape)
+        return lbfgs(tm, v0, opts)
+
+    monkeypatch.setattr(conjfinder, "_lbfgs", counting)
+    code, out, _ = run(
+        capsys, "residual", "--json", "--symbol", '{"family":"elliptic3","a":[0.5,0]}', "--max-iters", "0"
+    )
+    assert code == 0
+    assert stacks == [(8, 8, 8), (1, 16, 16), (1, 32, 32), (1, 64, 64)]
+    assert [r["restarts"] for r in json.loads(out)["rows"]] == [8, 1, 1, 1]
+
+
 def test_residual_rejects_non_selfmap(capsys):
     code, _, err = run(
         capsys,
@@ -294,6 +315,20 @@ def test_sweep_writes_csv(capsys, tmp_path):
     assert lines[0].startswith("family,a,class,is_cs")
     assert len(lines) == 5
     assert all("True" in ln for ln in lines[1:])
+
+
+def test_sweep_residual_skips_non_selfmaps(capsys, tmp_path):
+    # z -> a z is a self-map for a = 0.5 and 1.0 but not for a = 1.5
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, "sweep", "--family", "dilate_translate", "--grid", "a=0.5:1.5:3",
+        "--residual-truncation", "8", "--restarts", "2", "--out", str(out_file),
+    )
+    assert code == 0, err
+    lines = out_file.read_text().strip().splitlines()
+    assert lines[0] == "family,a,class,is_cs,best_residual"
+    assert lines[3] == "dilate_translate,1.5,not_self_map,False,"
+    assert all(float(ln.rsplit(",", 1)[1]) <= 1e-12 for ln in lines[1:3])
 
 
 def test_sweep_bad_grid_exits_1(capsys, tmp_path):
@@ -347,9 +382,16 @@ ROTATION = '{"family":"rotation","theta":1.0}'
         ["corpus", "--in", "{tmp}/missing.jsonl"],
         ["sweep", "--family", "involution", "--grid", "a=0.1:0.5:2", "--out", "{tmp}/x.csv",
          "--residual-truncation", "-3"],
+        ["residual", "--symbol", ROTATION, "--restarts", "0"],
+        ["residual", "--symbol", ROTATION, "--restarts", "-3"],
+        ["residual", "--symbol", ROTATION, "--max-iters", "-1"],
+        ["residual", "--symbol", ROTATION, "--truncation-schedule", "16,8"],
+        ["sweep", "--family", "involution", "--grid", "a=0.1:0.5:2", "--out", "{tmp}/x.csv",
+         "--restarts", "0"],
     ],
     ids=["a_xyz", "truncation_0", "truncation_neg", "schedule_0", "schedule_4x", "corpus_missing",
-         "sweep_residual_neg"],
+         "sweep_residual_neg", "restarts_0", "restarts_neg", "max_iters_neg", "schedule_decreasing",
+         "sweep_restarts_0"],
 )
 def test_bad_input_exits_1_without_traceback(capsys, tmp_path, argv):
     code, _, err = run(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])

@@ -17,10 +17,9 @@ from csymcomp.conjfinder import (
     _random_unitary,
     _reorthonormalize,
     _sym_basis,
-    discrimination_study,
     optimize,
     residual,
-    write_study_csv,
+    schedule_search,
 )
 from csymcomp.errors import DomainError
 from csymcomp.mobius import elliptic, involution, rotation
@@ -313,19 +312,38 @@ def test_seed_changes_the_random_restarts():
     assert start1 != start2
 
 
-# -- study --------------------------------------------------------------------------
+# -- schedule search -------------------------------------------------------------------
 
 
-def test_discrimination_study_rows_and_csv(tmp_path):
-    rows = discrimination_study(
-        [("rotation", rotation(1j)), ("involution", involution(0.5))],
-        [8, 16],
-        OptimizeOptions(restarts=2, max_iters=60),
-    )
-    assert len(rows) == 4
-    assert {r["symbol"] for r in rows} == {"rotation", "involution"}
-    path = tmp_path / "study.csv"
-    write_study_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "symbol,truncation,best_residual,iterations,restarts,seed"
-    assert len(lines) == 5
+def test_schedule_search_pads_the_previous_optimum():
+    opts = OptimizeOptions(restarts=2, max_iters=60)
+    first, second = schedule_search(involution(0.5), [8, 16], opts)
+    assert (first.restarts, len(first.stops)) == (2, 2)
+    assert (second.restarts, len(second.stops)) == (1, 1)
+    assert second.best_U.shape == (16, 16)
+    # the one start at N = 16 is U_8 with an identity block below it
+    start = np.eye(16, dtype=complex)
+    start[:8, :8] = first.best_U
+    t16 = matrix_of_composition(involution(0.5), 16)
+    assert second.trace[0] == (0, 0, pytest.approx(residual(t16, start), rel=1e-12))
+    # the identity that ends a rotation's search pads to the identity
+    rot = schedule_search(rotation(1j), [8, 8, 16], opts)
+    assert [(s.reason, s.iterations) for rep in rot for s in rep.stops] == [("tol", 0)] * 3
+
+
+def test_schedule_search_rejects_decreasing_truncations():
+    with pytest.raises(DomainError):
+        schedule_search(involution(0.5), [16, 8])
+
+
+@pytest.mark.parametrize("name", ["involution", "elliptic3"])
+def test_warm_chain_meets_random_restarts(name):
+    # criterion 6 pins the warm chain; eight random restarts at each N must
+    # find the same floor, so the pins also hold for the multi-start path
+    phi = involution(0.5) if name == "involution" else elliptic(OMEGA3, 0.5)
+    opts = OptimizeOptions(restarts=8, seed=42, max_iters=20000, grad_tol=1e-9)
+    schedule = [8, 16, 32]
+    for n, warm in zip(schedule, schedule_search(phi, schedule, opts)):
+        cold = optimize(matrix_of_composition(phi, n), opts)
+        assert all(s.reason in ("tol", "grad") for s in warm.stops + cold.stops)
+        assert warm.best_residual == pytest.approx(cold.best_residual, rel=1e-6)
