@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .backend import backend_name
-from .compop import OperatorMatrix, adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
+from .compop import adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
 from .conjfinder import OptimizeOptions, optimize, schedule_search
 from .csym import CsVerdict, decide
 from .errors import CsymcompError, NotSelfMapError
@@ -28,7 +28,6 @@ from .mobius import (
     MobiusMap,
     boundary_contact,
     classify,
-    fixed_points,
     involution,
     rotation,
 )
@@ -243,9 +242,9 @@ def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
     """The identity and adjoint checks at truncation n.
 
     ``witness`` returns the order-3 witness of the same verify, if it has
-    one.  Its truncation is at least n, and entry (m, j) of an operator
-    matrix does not depend on the truncation, so the elliptic3 checks read
-    the leading n x n block of its matrix instead of building a second one.
+    one.  The elliptic3 adjoint checks then run on its whole matrix, at its
+    truncation, which is at least n and grows near the circle as the
+    kernels' tails do; no second elliptic3 matrix is built.
     """
     from .mobius import elliptic
 
@@ -260,16 +259,15 @@ def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
                 z = r * np.exp(2j * np.pi * t / 4)
                 worst = max(worst, identity_id_check(phi, z))
         checks.append(_check(f"identity_id[{name}]", worst, TOL_POINTWISE, None))
-    shared = None
-    if witness is not None:
-        shared = OperatorMatrix(witness().operator.data[:n, :n])
+    shared = witness().operator if witness is not None else None
     symbols = [("elliptic3", elliptic(np.exp(2j * np.pi / 3), a), shared)]
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
     symbols.append(("dilate_translate", MobiusMap(0.5, a / 2.0, 0, 1), None))
     for name, phi, matrix in symbols:
-        r1, r2, r3 = adjoint_kernel_checks(phi, n, matrix=matrix)
+        m = n if matrix is None else matrix.truncation
+        r1, r2, r3 = adjoint_kernel_checks(phi, m, matrix=matrix)
         for label, value in (("star1", r1), ("star2", r2), ("star3", r3)):
-            checks.append(_check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, n))
+            checks.append(_check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, m))
     for k, value in enumerate(lemma_star_s_check(a, n)):
         checks.append(_check(f"lemma_star_s[k={k}]", value, TOL_MATRIX, n))
     return checks
@@ -538,12 +536,23 @@ def cmd_corpus(args) -> int:
 # argument parsing
 
 
+def _version_text() -> str:
+    """The tool with its kernels, then the numpy and BLAS it runs on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy without the dict mode, or no BLAS entry
+        blas_name = "unknown"
+    return f"csymcomp {__version__} ({backend_name()} kernels)\nnumpy {np.__version__}, BLAS {blas_name}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csymcomp",
         description="Complex symmetric composition operators: classification and verification",
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # keeps the lines of --version
     )
-    parser.add_argument("--version", action="version", version=f"csymcomp {__version__} ({backend_name()} kernels)")
+    parser.add_argument("--version", action="version", version=_version_text())
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

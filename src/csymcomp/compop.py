@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .errors import ConvergenceError, DomainError, NotSelfMapError
+from .errors import ConvergenceError, NotSelfMapError
 from .hardy import (
     H2Series,
     KernelSpec,
@@ -26,7 +26,6 @@ from .mobius import (
     DEFAULT_TOL,
     MobiusMap,
     derivative_at,
-    elliptic,
     interior_fixed_point,
     involution,
     is_disk_selfmap,
@@ -156,30 +155,6 @@ def lemma_star_s_check(a: complex, n: int, k_max: int = 6) -> list[float]:
     for k in range(k_max):
         out.append((H2Series(rows[k + 1]) - (e[k + 1] - a * e[k])).norm())
     return out
-
-
-def eigenspace_check_order3(a: complex, n: int, k_max: int = 6):
-    """Eigenvector residuals for the order-3 elliptic symbol centered at a.
-
-    With phi = phi_a o (w z) o phi_a and w a primitive cube root of unity,
-    phi_a^k is an eigenvector of the operator with eigenvalue w^k, and
-    e_k - a e_(k-1) is an eigenvector of the adjoint with eigenvalue
-    conj(w)^k.
-    """
-    a = complex(a)
-    omega = np.exp(2j * np.pi / 3)
-    phi = elliptic(omega, a)
-    m = matrix_of_composition(phi, n)
-    mstar = adjoint(m)
-    powers = involution_powers(a, range(k_max + 1), n)
-    k_a = reproducing_kernel(a, n)
-    e = [multiply(k_a, p) for p in powers]
-    fwd, adj = [], []
-    for k, vec in enumerate(powers):
-        fwd.append((m.apply(vec) - (omega**k) * vec).norm())
-        dual = e[k] - a * e[k - 1] if k else e[0]
-        adj.append((mstar.apply(dual) - (omega.conjugate() ** k) * dual).norm())
-    return fwd, adj
 
 
 def eigen_decompose(t: OperatorMatrix, tol: float = 1e-8) -> EigenReport:

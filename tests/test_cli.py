@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from csymcomp import __version__
@@ -48,7 +49,14 @@ def test_to_jsonable_complex_and_floats():
 def test_version_names_the_kernels(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert out.strip() == f"csymcomp {__version__} (python kernels)"
+    assert out.splitlines()[0] == f"csymcomp {__version__} (python kernels)"
+
+
+def test_version_names_numpy_and_blas(capsys):
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert out.splitlines()[1:] == [f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"]
 
 
 # -- classify ----------------------------------------------------------------------
@@ -143,6 +151,20 @@ def test_verify_order3_suite(capsys):
         assert ch["truncation"] == 512
         assert ch["margin"] == pytest.approx(ch["residual"] / ch["tol"], rel=1e-14)
         assert ch["pass"] == (ch["margin"] <= 1.0)
+
+
+def test_verify_all_near_circle_checks_elliptic3_at_witness_truncation(capsys):
+    # at N = 512 adjoint_star3[elliptic3] was 1.46e-6 > 1e-7; the witness's
+    # whole matrix (N = 4685) brings it to rounding level
+    from csymcomp.paperchecks import order3_truncation
+
+    code, out, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", "0.95")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    ell = [ch for ch in checks if ch["name"].endswith("[elliptic3]")]
+    assert len(ell) == 3
+    assert {ch["truncation"] for ch in ell} == {order3_truncation(0.95)} == {4685}
+    assert all(ch["truncation"] == 512 for ch in checks if ch["name"].endswith("[dilate_translate]"))
 
 
 @pytest.mark.parametrize("a", ["0.75", "0.8"])

@@ -3,17 +3,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from csymcomp.backend import power_columns
 from csymcomp.compop import (
-    OperatorMatrix,
     adjoint,
     adjoint_kernel_checks,
     e_function,
     eigen_decompose,
-    eigenspace_check_order3,
+    involution_powers,
     lemma_star_s_check,
     matrix_of_composition,
 )
@@ -22,6 +22,7 @@ from csymcomp.hardy import (
     H2Series,
     evaluate,
     inner_product,
+    multiply,
     reproducing_kernel,
     series_of_mobius,
 )
@@ -40,8 +41,8 @@ def test_matrix_of_rotation_is_diagonal():
 
 
 def test_matrix_of_dilation_translation_is_upper_triangular():
-    m = matrix_of_composition(MobiusMap(0.5, 0.25, 0, 1), 16).data
-    assert np.allclose(np.tril(m, -1), 0.0)
+    m = matrix_of_composition(MobiusMap(0.5, 0.25, 0, 1), 100).data
+    assert np.all(np.tril(m, -1) == 0.0)  # exact zeros across tile edges
     # column n holds the binomial expansion of (z/2 + 1/4)^n
     assert m[0, 0] == 1.0
     assert m[0, 1] == pytest.approx(0.25)
@@ -73,18 +74,39 @@ def test_matrix_column_is_symbol_power(phi):
                 want[:, j] = np.convolve(want[:, j - 1], s[:n])[:n]
         return want
 
-    # The 64 x 64 square and the 1 x 1 edge take the antidiagonal sweep;
     # 64 x 4, 512 x 21, 9 x 1 and 4 x 1 double along rows, 8 x 64 and 1 x 9
-    # along columns.
+    # along columns; the other shapes take the tile wavefront, and the
+    # square ones from 7 to 17 straddle the edges of its 8 x 8 tiles
     shapes = [(64, 64), (64, 4), (512, 21), (8, 64), (1, 1), (1, 9), (9, 1), (4, 1), (0, 5), (5, 0), (0, 0)]
+    shapes += [(7, 7), (8, 8), (9, 9), (15, 15), (16, 16), (17, 17), (17, 40), (40, 17), (100, 33), (512, 178)]
     for n, k in shapes:
         got = power_columns(phi.coefficients, n, k)
         assert got.shape == (n, k)
         assert np.max(np.abs(got - chain(n, k)), initial=0.0) <= 1e-13, (n, k)
-    assert np.max(np.abs(matrix_of_composition(phi, 64).data - chain(64, 64))) <= 1e-13
+    m64 = matrix_of_composition(phi, 64).data
+    assert np.max(np.abs(m64 - chain(64, 64))) <= 1e-13
     # entry (m, j) does not depend on the truncation, so a wider matrix can
-    # stand in for a narrower one (verify shares the order-3 witness's)
-    assert np.array_equal(matrix_of_composition(phi, 96).data[:64, :64], matrix_of_composition(phi, 64).data)
+    # stand in for a narrower one (schedule_search pads its optimum on it)
+    for n in (65, 80, 96):
+        assert np.array_equal(matrix_of_composition(phi, n).data[:64, :64], m64), n
+
+
+def test_matrix_matches_mpmath_reference():
+    # oracle: phi**k solves (cz + d)(az + b) g' = k (ad - bc) g with
+    # g(0) = (b/d)**k, a recurrence down each column that shares nothing
+    # with the wavefront; at 50 digits its rounding stays far below 1e-13
+    phi = elliptic(OMEGA3, 0.99)
+    n = 128
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpc(z.real, z.imag) for z in phi.coefficients)
+        p0, p1, p2, delta = b * d, a * d + b * c, a * c, a * d - b * c
+        want = np.empty((n, n), dtype=complex)
+        for k in range(n):
+            g = [(b / d) ** k, k * delta * (b / d) ** k / p0]
+            for m in range(1, n - 1):
+                g.append(((k * delta - p1 * m) * g[m] - p2 * (m - 1) * g[m - 1]) / (p0 * (m + 1)))
+            want[:, k] = [complex(x) for x in g]
+    assert np.max(np.abs(matrix_of_composition(phi, n).data - want)) <= 1e-13
 
 
 def test_matrix_applies_like_pointwise_composition():
@@ -154,9 +176,18 @@ def test_e_function_norms_and_orthogonality():
 
 
 def test_order3_eigenspace_residuals():
-    fwd, adj = eigenspace_check_order3(0.5, 512)
-    assert max(fwd) < 1e-8
-    assert max(adj) < 1e-8
+    # with phi = phi_a o (w z) o phi_a and w a primitive cube root of unity,
+    # phi_a^k is an eigenvector of C_phi for w^k, and e_k - a e_(k-1) one of
+    # its adjoint for conj(w)^k
+    a, n = 0.5, 512
+    m = matrix_of_composition(elliptic(OMEGA3, a), n)
+    mstar = adjoint(m)
+    powers = involution_powers(a, range(7), n)
+    e = [multiply(reproducing_kernel(a, n), p) for p in powers]
+    for k, vec in enumerate(powers):
+        assert (m.apply(vec) - OMEGA3**k * vec).norm() < 1e-8
+        dual = e[k] - a * e[k - 1] if k else e[0]
+        assert (mstar.apply(dual) - OMEGA3.conjugate() ** k * dual).norm() < 1e-8
 
 
 # -- spectra ---------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""Every imported name in the package and its tests is read somewhere."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*(ROOT / "src" / "csymcomp").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement that are never loaded.
+
+    A name listed in ``__all__`` counts as read, and ``from __future__``
+    imports bind nothing.
+    """
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_scan_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
+    assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]

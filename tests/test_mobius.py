@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from csymcomp.csym import Witness, decide, decide_automorphism
 from csymcomp.errors import DomainError, InvalidMapError, PoleDerivativeError
 from csymcomp.mobius import (
-    DEFAULT_TOL,
     INF,
     ORDER_MAX,
     ORDER_TOL_PER_KAPPA,

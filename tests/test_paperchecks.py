@@ -1,16 +1,12 @@
 """Numerical verification of the operator identities behind the classification."""
 
 import cmath
-import math
 
-import numpy as np
 import pytest
 
 from csymcomp.errors import DomainError
-from csymcomp.hardy import evaluate, inner_product
+from csymcomp.hardy import evaluate
 from csymcomp.paperchecks import (
-    GapReport,
-    Order3Witness,
     build_order3_witness,
     check_claim1_structure,
     check_claim2_norm,
