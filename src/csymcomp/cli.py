@@ -10,28 +10,32 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
+from enum import Enum
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .backend import backend_name
-from .compop import adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
-from .conjfinder import OptimizeOptions, optimize, schedule_search
+from .compop import OperatorMatrix, adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
+from .conjfinder import OptimizeOptions, schedule_search
 from .csym import CsVerdict, decide
 from .errors import CsymcompError, NotSelfMapError
 from .hardy import identity_id_check
 from .mobius import (
+    FixedPointData,
     MobiusMap,
+    SpherePoint,
     boundary_contact,
     classify,
+    elliptic,
     involution,
     rotation,
 )
 from .paperchecks import (
+    OMEGA3,
     build_order3_witness,
     check_claim1_structure,
     check_claim2_norm,
@@ -86,9 +90,7 @@ def symbol_from_spec(spec: dict) -> MobiusMap:
         if family == "involution":
             return involution(_pair_to_complex(params["a"]))
         if family == "elliptic3":
-            from .mobius import elliptic
-
-            return elliptic(np.exp(2j * np.pi / 3), _pair_to_complex(params["a"]))
+            return elliptic(OMEGA3, _pair_to_complex(params["a"]))
         if family == "dilate_translate":
             a = _pair_to_complex(params["a"])
             c = _pair_to_complex(params.get("c", 0.0))
@@ -112,11 +114,6 @@ def _sig15(x: float) -> float:
 
 def to_jsonable(obj):
     """Recursive conversion to JSON-safe data with 15-significant-digit floats."""
-    import dataclasses
-    from enum import Enum
-
-    from .mobius import FixedPointData, SpherePoint
-
     if isinstance(obj, SpherePoint):
         return "inf" if obj.is_infinity else to_jsonable(obj.finite)
     if isinstance(obj, FixedPointData):
@@ -125,22 +122,14 @@ def to_jsonable(obj):
         return obj.value
     if isinstance(obj, complex):
         return [_sig15(obj.real), _sig15(obj.imag)]
-    if isinstance(obj, (np.complexfloating,)):
-        return to_jsonable(complex(obj))
     if isinstance(obj, (float, np.floating)):
         return _sig15(float(obj))
     if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(to_jsonable(v) for v in obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -238,16 +227,8 @@ def _check(name: str, residual: float, tol: float, truncation: int | None, **ext
     return {"name": name, "residual": residual, "tol": tol, "truncation": truncation, **extra}
 
 
-def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
-    """The identity and adjoint checks at truncation n.
-
-    ``witness`` returns the order-3 witness of the same verify, if it has
-    one.  The elliptic3 adjoint checks then run on its whole matrix, at its
-    truncation, which is at least n and grows near the circle as the
-    kernels' tails do; no second elliptic3 matrix is built.
-    """
-    from .mobius import elliptic
-
+def _suite_pointwise(a: complex) -> list[dict]:
+    """The identity checks, pointwise on a disk grid."""
     checks = []
     targets = [("rotation_i", rotation(1j))]
     if abs(a) > 0:
@@ -259,15 +240,23 @@ def _suite_identities(a: complex, n: int, witness=None) -> list[dict]:
                 z = r * np.exp(2j * np.pi * t / 4)
                 worst = max(worst, identity_id_check(phi, z))
         checks.append(_check(f"identity_id[{name}]", worst, TOL_POINTWISE, None))
-    shared = witness().operator if witness is not None else None
-    symbols = [("elliptic3", elliptic(np.exp(2j * np.pi / 3), a), shared)]
+    return checks
+
+
+def _adjoint_checks(name: str, phi: MobiusMap, t: OperatorMatrix) -> list[dict]:
+    residuals = adjoint_kernel_checks(phi, t)
+    return [
+        _check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, t.truncation)
+        for label, value in zip(("star1", "star2", "star3"), residuals)
+    ]
+
+
+def _suite_identities(a: complex, n: int, elliptic3: OperatorMatrix) -> list[dict]:
+    """The adjoint checks on the given elliptic3 matrix, the rest at truncation n."""
+    checks = _adjoint_checks("elliptic3", elliptic(OMEGA3, a), elliptic3)
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
-    symbols.append(("dilate_translate", MobiusMap(0.5, a / 2.0, 0, 1), None))
-    for name, phi, matrix in symbols:
-        m = n if matrix is None else matrix.truncation
-        r1, r2, r3 = adjoint_kernel_checks(phi, m, matrix=matrix)
-        for label, value in (("star1", r1), ("star2", r2), ("star3", r3)):
-            checks.append(_check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, m))
+    dilate = MobiusMap(0.5, a / 2.0, 0, 1)
+    checks += _adjoint_checks("dilate_translate", dilate, matrix_of_composition(dilate, n))
     for k, value in enumerate(lemma_star_s_check(a, n)):
         checks.append(_check(f"lemma_star_s[k={k}]", value, TOL_MATRIX, n))
     return checks
@@ -331,16 +320,23 @@ def cmd_verify(args) -> int:
             return 1
     a, b, c = params["a"], params["b"], params["c"]
     checks: list[dict] = []
-    # built on first use, once per verify, by whichever suite reads it first
+    order3 = args.suite == "order3" or (args.suite == "all" and a != 0)
+    identities = args.suite in ("all", "identities")
     witness = None
-    if args.suite == "order3" or (args.suite == "all" and abs(a) > 0):
-        witness = functools.cache(lambda: build_order3_witness(a, 1.0, order3_truncation(a, n)))
     try:
-        if args.suite in ("all", "identities"):
-            checks.extend(_suite_identities(a, n, witness))
-        if witness is not None:
-            checks.extend(_suite_order3(witness()))
-            witness = None  # free its matrix before the later suites build theirs
+        if identities:  # before the witness, so that they reject a centre outside the disk
+            checks.extend(_suite_pointwise(a))
+        if order3 or identities:
+            # every elliptic3 check runs at the witness's truncation, or at n when a = 0
+            n3 = order3_truncation(a, n) if a else n
+        if order3:
+            witness = build_order3_witness(a, 1.0, n3)
+        if identities:
+            elliptic3 = witness.operator if witness else matrix_of_composition(elliptic(OMEGA3, a), n3)
+            checks.extend(_suite_identities(a, n, elliptic3))
+        if order3:
+            checks.extend(_suite_order3(witness))
+        witness = elliptic3 = None  # free the matrices before the later suites build theirs
         if args.suite in ("all", "schroeder"):
             checks.extend(_suite_schroeder(b, c, n))
         if args.suite in ("all", "final"):
@@ -455,8 +451,8 @@ def cmd_sweep(args) -> int:
         if args.residual_truncation and row["class"] == "not_self_map":
             row["best_residual"] = None
         elif args.residual_truncation:
-            m = matrix_of_composition(phi, args.residual_truncation)
-            rep = optimize(m, OptimizeOptions(restarts=args.restarts, seed=args.seed))
+            opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
+            rep = schedule_search(phi, [args.residual_truncation], opts)[0]
             row["best_residual"] = _sig15(rep.best_residual)
         rows.append(row)
     fieldnames = list(rows[0].keys()) if rows else ["family", param, "class", "is_cs"]
@@ -597,10 +593,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_complex_values(argv: list[str]) -> list[str]:
+    """Join --a, --b or --c and a following value such as -0.6j into one token.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a negative real number, so it would reject --a -0.6j.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--a", "--b", "--c") and arg.startswith("-"):
+            try:
+                parse_complex(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_complex_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     return args.func(args)

@@ -2,7 +2,8 @@
 
 The operator f -> f o phi is compressed to the span of the first N
 monomials: column n holds the truncated coefficients of phi**n.  The
-adjoint is the conjugate transpose.  The classical adjoint identities on
+adjoint is the conjugate transpose, applied in place by
+``OperatorMatrix.apply_adjoint``.  The classical adjoint identities on
 reproducing kernels and on the e_k = K_a phi_a^k family serve as
 residual oracles for the construction.
 """
@@ -35,10 +36,9 @@ from .mobius import (
 
 @dataclass
 class OperatorMatrix:
-    """Dense truncation of a composition operator (or adjoint)."""
+    """Dense truncation M of a composition operator."""
 
     data: np.ndarray
-    symbol: MobiusMap | None = None
 
     @property
     def truncation(self) -> int:
@@ -46,6 +46,10 @@ class OperatorMatrix:
 
     def apply(self, f: H2Series) -> H2Series:
         return H2Series(self.data @ f.extended(self.truncation).coeffs)
+
+    def apply_adjoint(self, f: H2Series) -> H2Series:
+        """M^H f, as conj(M^t conj(f)), which reads M in place."""
+        return H2Series((self.data.T @ f.extended(self.truncation).coeffs.conj()).conj())
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -65,35 +69,7 @@ def matrix_of_composition(phi: MobiusMap, n: int) -> OperatorMatrix:
     """Column k = coefficients of phi**k, from the Mobius-power recurrence."""
     if not is_disk_selfmap(phi):
         raise NotSelfMapError("composition symbol must map the disk into itself")
-    return OperatorMatrix(backend.power_columns(phi.coefficients, n, n), symbol=phi)
-
-
-@dataclass
-class AdjointMatrix:
-    """Adjoint of an operator matrix M, applied as conj(M^t conj(x)).
-
-    The product reads M in place, so no conjugated copy of M is made;
-    ``data`` forms M^H only when it is read.
-    """
-
-    of: OperatorMatrix
-
-    @property
-    def truncation(self) -> int:
-        return self.of.truncation
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.of.data.conj().T
-
-    def apply(self, f: H2Series) -> H2Series:
-        x = f.extended(self.truncation).coeffs
-        return H2Series((self.of.data.T @ x.conj()).conj())
-
-
-def adjoint(t: OperatorMatrix) -> AdjointMatrix:
-    """The conjugate transpose of ``t``."""
-    return AdjointMatrix(t)
+    return OperatorMatrix(backend.power_columns(phi.coefficients, n, n))
 
 
 def involution_powers(a: complex, exponents, n: int) -> list[H2Series]:
@@ -110,29 +86,24 @@ def e_function(a: complex, k: int, n: int) -> H2Series:
     return out
 
 
-def adjoint_kernel_checks(
-    phi: MobiusMap, n: int, tol: float = DEFAULT_TOL, matrix: OperatorMatrix | None = None
-):
+def adjoint_kernel_checks(phi: MobiusMap, t: OperatorMatrix, tol: float = DEFAULT_TOL):
     """Residuals of the three adjoint identities at the interior fixed point.
 
-    For phi(a) = a with |a| < 1 the adjoint fixes K_a, scales the first
-    derivative kernel by conj(phi'(a)), and acts on the second derivative
-    kernel by conj(phi'(a))^2 plus a conj(phi''(a)) multiple of the first.
-    ``matrix`` is the matrix of phi at truncation n when the caller already
-    has it; otherwise it is built here.
+    ``t`` is the matrix of phi.  For phi(a) = a with |a| < 1 the adjoint
+    fixes K_a, scales the first derivative kernel by conj(phi'(a)), and acts
+    on the second derivative kernel by conj(phi'(a))^2 plus a conj(phi''(a))
+    multiple of the first.
     """
     a = interior_fixed_point(phi, tol)
-    if matrix is None:
-        matrix = matrix_of_composition(phi, n)
-    mstar = adjoint(matrix)
+    n = t.truncation
     d1 = derivative_at(phi, a).conjugate()
     d2 = second_derivative_at(phi, a).conjugate()
     k0 = kernel(KernelSpec(a, 0), n)
     k1 = kernel(KernelSpec(a, 1), n)
     k2 = kernel(KernelSpec(a, 2), n)
-    r1 = (mstar.apply(k0) - k0).norm()
-    r2 = (mstar.apply(k1) - d1 * k1).norm()
-    r3 = (mstar.apply(k2) - (d1**2) * k2 - d2 * k1).norm()
+    r1 = (t.apply_adjoint(k0) - k0).norm()
+    r2 = (t.apply_adjoint(k1) - d1 * k1).norm()
+    r3 = (t.apply_adjoint(k2) - (d1**2) * k2 - d2 * k1).norm()
     return r1, r2, r3
 
 

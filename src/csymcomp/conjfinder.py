@@ -124,7 +124,6 @@ class ResidualReport:
     iterations: int
     restarts: int
     trace: list[tuple[int, int, float]] = field(default_factory=list)
-    seed: int = 0
     stops: list[RestartStop] = field(default_factory=list)
 
 
@@ -553,7 +552,6 @@ def _search(tm: np.ndarray, opts: OptimizeOptions, start: np.ndarray | None = No
         iterations=sum(stop.iterations for stop in stops),
         restarts=n_restarts,
         trace=[(r, it, res) for r, tr in enumerate(traces) for it, res in tr],
-        seed=opts.seed,
         stops=stops,
     )
     return report, v_best

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import backend
-from .compop import OperatorMatrix, involution_powers, matrix_of_composition
+from .compop import OperatorMatrix, e_function, involution_powers, matrix_of_composition
 from .errors import DomainError
 from .hardy import (
     H2Series,
@@ -364,8 +364,6 @@ def gap_report(w: Order3Witness) -> GapReport:
 
 def check_e1_norm(a: complex, n: int = DEFAULT_TRUNCATION) -> float:
     """||e_1 - conj(a) e_0||^2 = (1+|a|^2)/(1-|a|^2) by series norm."""
-    from .compop import e_function
-
     a = complex(a)
     r = abs(a)
     diff = e_function(a, 1, n) - a.conjugate() * e_function(a, 0, n)
@@ -429,13 +427,14 @@ def check_theorem_final(
     denom = 1 - abs(w0) ** 2
     gamma1 = -(1 - a * w0) * (a - wb) / denom
     gamma2 = -((1 - a * w0) ** 2) / denom
-    h_tilde = gamma1 * kw + gamma2 * multiply(kw, phi_w)
+    kw_phi_w = multiply(kw, phi_w)
+    h_tilde = gamma1 * kw + gamma2 * kw_phi_w
     diff = h2 - a * h1
     res["h2_decomposition"] = (diff - _shift_up(h_tilde)).norm()
     res["f2y_norm"] = abs(
         diff.norm_sq() - (abs(gamma1) ** 2 + abs(gamma2) ** 2) / denom
     )
-    res["kernel_orthogonality"] = abs(inner_product(multiply(kw, phi_w), kw))
+    res["kernel_orthogonality"] = abs(inner_product(kw_phi_w, kw))
     res["gamma2_modulus"] = abs(
         abs(gamma2) - (1 - abs(a) ** 2) / (1 - abs(eta) ** 2)
     )

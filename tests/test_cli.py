@@ -1,13 +1,15 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from csymcomp import __version__
+from csymcomp import __version__, backend, conjfinder, hardy, paperchecks
 from csymcomp.cli import main, parse_complex, symbol_from_spec, to_jsonable
-from csymcomp.mobius import SymbolKind, classify
+from csymcomp.mobius import SymbolKind, classify, elliptic
+from csymcomp.paperchecks import OMEGA3, order3_truncation
 
 
 def run(capsys, *argv):
@@ -156,8 +158,6 @@ def test_verify_order3_suite(capsys):
 def test_verify_all_near_circle_checks_elliptic3_at_witness_truncation(capsys):
     # at N = 512 adjoint_star3[elliptic3] was 1.46e-6 > 1e-7; the witness's
     # whole matrix (N = 4685) brings it to rounding level
-    from csymcomp.paperchecks import order3_truncation
-
     code, out, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", "0.95")
     assert code == 0
     checks = json.loads(out)["checks"]
@@ -212,31 +212,62 @@ def test_verify_all_skips_order3_at_zero(capsys):
 
 
 def test_verify_pointwise_checks_have_no_truncation(capsys):
+    # the elliptic3 checks run at the order-3 witness's truncation, the rest at N
     code, out, _ = run(capsys, "verify", "--json", "--suite", "identities", "--truncation", "64")
     assert code == 0
     for ch in json.loads(out)["checks"]:
-        want = None if ch["name"].startswith("identity_id") else 64
+        if ch["name"].startswith("identity_id"):
+            want = None
+        elif ch["name"].endswith("[elliptic3]"):
+            want = order3_truncation(0.5, 64)
+        else:
+            want = 64
         assert ch["truncation"] == want
+    assert order3_truncation(0.5, 64) == 512
+
+
+@pytest.mark.parametrize("a", ["0.5", "0.8", "0.95"])
+def test_verify_identities_checks_elliptic3_as_all_does(capsys, a):
+    # one truncation rule for the elliptic3 adjoint checks, whichever suite runs them
+    records = {}
+    for suite in ("identities", "all"):
+        code, out, _ = run(capsys, "verify", "--json", "--suite", suite, "--a", a)
+        assert code == 0
+        records[suite] = [
+            (ch["name"], ch["truncation"], ch["residual"])
+            for ch in json.loads(out)["checks"]
+            if ch["name"].endswith("[elliptic3]")
+        ]
+    assert len(records["all"]) == 3
+    assert records["identities"] == records["all"]
+    assert {t for _, t, _ in records["all"]} == {order3_truncation(float(a))}
+
+
+def test_verify_reads_a_complex_value_with_a_leading_minus(capsys):
+    # argparse's negative-number pattern matches real numbers only
+    args = ["verify", "--json", "--suite", "identities"]
+    code, out, err = run(capsys, *args, "--a", "-0.6j")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"]["a"] == [0.0, -0.6]
+    assert run(capsys, *args, "--a=-0.6j") == (code, out, err)
 
 
 @pytest.mark.parametrize("a", ["0.5", "0.8"])
 def test_verify_builds_each_block_once(capsys, monkeypatch, a):
-    # the suite reads each power block once at the shape it needs:
-    # three full operator matrices (the order-3 witness's serves the
+    # the suite reads each power block once at the shape it needs: `all`
+    # makes three full operator matrices (the order-3 witness's serves the
     # elliptic3 adjoint checks too, also when it is wider than N), few
     # truncated products and one order-3 witness for the claims and the gap
-    # checks together
-    import sys
-
-    from csymcomp import backend, hardy, paperchecks
-
+    # checks together; `identities` builds no witness and one elliptic3
+    # matrix, at the witness's truncation
     squares, products, witnesses = [], [], []
     power_columns, multiply = backend.power_columns, hardy.multiply
     build_order3_witness = paperchecks.build_order3_witness
+    elliptic3 = elliptic(OMEGA3, float(a)).coefficients
 
     def counted_power_columns(coeffs, n, k):
         if n == k:
-            squares.append(n)
+            squares.append((n, tuple(coeffs) == elliptic3))
         return power_columns(coeffs, n, k)
 
     def counted_multiply(f, g):
@@ -257,12 +288,21 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
         ):
             if getattr(module, attr, None) is orig:
                 monkeypatch.setattr(module, attr, new)
+    n3 = order3_truncation(float(a))
     code, _, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", a, "--truncation", "512")
     assert code == 0
-    assert set(squares) <= {512, paperchecks.order3_truncation(float(a))}
+    assert [n for n, ell in squares if ell] == [n3]
+    assert {n for n, ell in squares if not ell} == {512}
     assert len(squares) <= 3, f"{len(squares)} full builds"
     assert len(products) <= 30, f"{len(products)} products"
     assert len(witnesses) == 1, f"{len(witnesses)} witness builds"
+
+    squares.clear()
+    witnesses.clear()
+    code, _, _ = run(capsys, "verify", "--json", "--suite", "identities", "--a", a, "--truncation", "512")
+    assert code == 0
+    assert sorted(squares) == sorted([(n3, True), (512, False)])
+    assert witnesses == []
 
 
 # -- residual -----------------------------------------------------------------------
@@ -289,8 +329,6 @@ def test_residual_rotation_is_zero(capsys):
 def test_residual_warm_starts_each_larger_truncation(capsys, monkeypatch):
     # the default schedule hands --restarts starts to the search at N = 8
     # and one warm start at each larger N, never eight random ones
-    from csymcomp import conjfinder
-
     stacks = []
     lbfgs = conjfinder._lbfgs
 

@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is read somewhere."""
+"""Every imported name in the package and its tests is read somewhere, and
+csymcomp modules are imported at module level only."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,40 @@ def test_no_unused_imports(path):
 def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
     assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
+
+
+def local_package_imports(tree: ast.Module) -> list[str]:
+    """Imports of csymcomp modules inside a function body, relative ones included."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if node.level or module.split(".")[0] == "csymcomp":
+                    found.add(f"{module} (line {node.lineno})")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "csymcomp":
+                        found.add(f"{alias.name} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_imports_are_module_level(path):
+    assert local_package_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_scan_sees_a_function_local_import():
+    tree = ast.parse(
+        "import csymcomp\n"
+        "from .hardy import H2Series\n"
+        "def f():\n"
+        "    import numpy, csymcomp.cli\n"
+        "    def g():\n"
+        "        from . import backend\n"
+        "    from csymcomp.mobius import elliptic\n"
+        "    from math import pi\n"
+    )
+    assert local_package_imports(tree) == [". (line 6)", "csymcomp.cli (line 4)", "csymcomp.mobius (line 7)"]
