@@ -262,13 +262,13 @@ def _suite_identities(a: complex, n: int, elliptic3: OperatorMatrix) -> list[dic
     return checks
 
 
-def _suite_order3(w) -> list[dict]:
+def _suite_order3(w, elliptic3: OperatorMatrix) -> list[dict]:
     # one witness serves the claims and the gap checks; the e_1 series has
     # the same tail length as the witness, so e1_norm runs at its truncation
     a, nw = w.a, w.truncation
-    orth1, eig1 = check_claim1_structure(w)
+    orth1, eig1 = check_claim1_structure(w, elliptic3)
     c2 = check_claim2_norm(w)
-    c4 = check_claim4(w)
+    c4 = check_claim4(w, elliptic3)
     gap = gap_report(w)
     return [
         _check("claim1_orthogonality", max(orth1), TOL_SERIES, nw),
@@ -322,25 +322,24 @@ def cmd_verify(args) -> int:
     checks: list[dict] = []
     order3 = args.suite == "order3" or (args.suite == "all" and a != 0)
     identities = args.suite in ("all", "identities")
-    witness = None
     try:
         if identities:  # before the witness, so that they reject a centre outside the disk
             checks.extend(_suite_pointwise(a))
         if order3 or identities:
-            # every elliptic3 check runs at the witness's truncation, or at n when a = 0
+            # every elliptic3 check runs at the witness's truncation, or at n when a = 0;
+            # the witness comes first, so that it rejects a bad centre before the build
             n3 = order3_truncation(a, n) if a else n
-        if order3:
-            witness = build_order3_witness(a, 1.0, n3)
-        if identities:
-            elliptic3 = witness.operator if witness else matrix_of_composition(elliptic(OMEGA3, a), n3)
-            checks.extend(_suite_identities(a, n, elliptic3))
-        if order3:
-            checks.extend(_suite_order3(witness))
-        witness = elliptic3 = None  # free the matrices before the later suites build theirs
+            witness = build_order3_witness(a, n3) if order3 else None
+            elliptic3 = matrix_of_composition(elliptic(OMEGA3, a), n3)
+            if identities:
+                checks.extend(_suite_identities(a, n, elliptic3))
+            if order3:
+                checks.extend(_suite_order3(witness, elliptic3))
+            witness = elliptic3 = None  # free the blocks before the later suites build theirs
         if args.suite in ("all", "schroeder"):
             checks.extend(_suite_schroeder(b, c, n))
-        if args.suite in ("all", "final"):
-            checks.extend(_suite_final(b, c, a if abs(a) else 0.3 + 0j, n))
+        if args.suite == "final" or (args.suite == "all" and a != 0):
+            checks.extend(_suite_final(b, c, a, n))
     except CsymcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from .hardy import (
     reproducing_kernel,
 )
 from .mobius import (
-    DEFAULT_TOL,
     MobiusMap,
     derivative_at,
     interior_fixed_point,
@@ -86,7 +85,7 @@ def e_function(a: complex, k: int, n: int) -> H2Series:
     return out
 
 
-def adjoint_kernel_checks(phi: MobiusMap, t: OperatorMatrix, tol: float = DEFAULT_TOL):
+def adjoint_kernel_checks(phi: MobiusMap, t: OperatorMatrix):
     """Residuals of the three adjoint identities at the interior fixed point.
 
     ``t`` is the matrix of phi.  For phi(a) = a with |a| < 1 the adjoint
@@ -94,7 +93,7 @@ def adjoint_kernel_checks(phi: MobiusMap, t: OperatorMatrix, tol: float = DEFAUL
     on the second derivative kernel by conj(phi'(a))^2 plus a conj(phi''(a))
     multiple of the first.
     """
-    a = interior_fixed_point(phi, tol)
+    a = interior_fixed_point(phi)
     n = t.truncation
     d1 = derivative_at(phi, a).conjugate()
     d2 = second_derivative_at(phi, a).conjugate()
@@ -107,18 +106,17 @@ def adjoint_kernel_checks(phi: MobiusMap, t: OperatorMatrix, tol: float = DEFAUL
     return r1, r2, r3
 
 
-def lemma_star_s_check(a: complex, n: int, k_max: int = 6) -> list[float]:
+def lemma_star_s_check(a: complex, n: int) -> list[float]:
     """Residuals of the involution adjoint action on monomials.
 
-    Checks C*1 = K_a and C*z^(k+1) = e_(k+1) - a e_k for k < k_max, with
-    C the adjoint of the composition by phi_a.  C*z^j is the conjugate of
-    row j of the matrix of C, so only rows 0..k_max are built.
+    Checks C*1 = K_a and C*z^(k+1) = e_(k+1) - a e_k for k < 6, with C the
+    adjoint of the composition by phi_a, an automorphism for |a| < 1.
+    C*z^j is the conjugate of row j of the matrix of C, so only rows 0..6
+    are built.
     """
     a = complex(a)
-    phi = involution(a)
-    if not is_disk_selfmap(phi):
-        raise NotSelfMapError("composition symbol must map the disk into itself")
-    rows = backend.power_columns(phi.coefficients, k_max + 1, n).conj()
+    k_max = 6
+    rows = backend.power_columns(involution(a).coefficients, k_max + 1, n).conj()
     rows[n:] = 0.0  # z^j with j >= n is zero at truncation n
     k_a = reproducing_kernel(a, n)
     e = [multiply(k_a, p) for p in involution_powers(a, range(k_max + 1), n)]

@@ -28,7 +28,7 @@ from .hardy import (
     reproducing_kernel,
     series_of_mobius,
 )
-from .mobius import MobiusMap, apply, compose, elliptic, involution
+from .mobius import MobiusMap, apply, compose, involution
 
 #: Default truncation for the verification suites.
 DEFAULT_TRUNCATION = 512
@@ -41,6 +41,11 @@ MAX_TRUNCATION = 6144
 
 #: Size of the phi_a families the order-3 claims check.
 _K_MAX = 6
+
+#: Number of delta-law terms in ``check_claim4``.  |rho| = |a|/(1+|a|^2)
+#: is at most 1/2 at every centre, so the first term left out, of size
+#: |rho|^60 <= 2^-60, is below 1e-18.
+_DELTA_TERMS = 60
 
 _CENTER_ERROR = "witness requires a in the open disk, a != 0"
 
@@ -104,9 +109,9 @@ def check_lemma_tz(b: complex, c: complex, n: int = DEFAULT_TRUNCATION):
 class Order3Witness:
     """Closed-form functions entering the order-3 contradiction argument.
 
-    The claims read two blocks that the witness builds on first use, once
-    each: the powers of phi_a as columns (``phi_a_powers``) and the matrix
-    of the elliptic symbol (``operator``).
+    The claims read the powers of phi_a as columns (``phi_a_powers``), which
+    the witness builds on first use; the matrix of the elliptic symbol is
+    the caller's.
     """
 
     a: complex
@@ -128,27 +133,20 @@ class Order3Witness:
     def phi_a_powers(self) -> np.ndarray:
         """Column j holds phi_a**j, for every j the claims read:
         3k + 2 for k <= 6 and 3k for the delta-law terms."""
-        width = max(3 * _K_MAX + 3, 3 * _delta_terms(self.rho) - 2)
+        width = max(3 * _K_MAX + 3, 3 * _DELTA_TERMS - 2)
         return backend.power_columns(involution(self.a).coefficients, self.truncation, width)
-
-    @cached_property
-    def operator(self) -> OperatorMatrix:
-        """Matrix of the order-3 elliptic symbol centered at a."""
-        return matrix_of_composition(elliptic(OMEGA3, self.a), self.truncation)
 
     def phi_a_family(self, exponents) -> list[H2Series]:
         """phi_a**e for e in exponents, read from ``phi_a_powers``."""
         return [H2Series(self.phi_a_powers[:, e]) for e in exponents]
 
 
-def build_order3_witness(
-    a: complex, phase_of_c0: complex = 1.0, n: int | None = None
-) -> Order3Witness:
+def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     """Assemble h0, h1, g, f for the elliptic symbol of order 3 centered at a.
 
-    Only |c0| is pinned (to 1/(1-|a|^4)); the phase is a free choice and
-    every downstream residual is invariant under it.  The truncation
-    defaults to ``order3_truncation(a)``.
+    The proof pins only |c0| = 1/(1-|a|^4), and every residual is invariant
+    under its phase, so c0 is taken real.  The truncation defaults to
+    ``order3_truncation(a)``.
     """
     a = complex(a)
     r = abs(a)
@@ -159,34 +157,38 @@ def build_order3_witness(
     ab = a.conjugate()
     rho = -(ab**2 / a) * (1 - r**2) / (1 - r**4)
     rho_tilde = -(ab**2 / a) * (1 - r**6) / (1 - r**4)
-    phase = complex(phase_of_c0)
-    if abs(phase) == 0:
-        raise DomainError("c0 phase must be nonzero")
-    phase /= abs(phase)
-    c0 = phase / (1 - r**4)
+    c0 = 1 / (1 - r**4)
 
     phi_a, u = involution_powers(a, [1, 3], n)
     one = constant(1.0, n)
     num = one - ab**3 * u  # 1 - conj(a)^3 phi_a^3
     rec = reciprocal(one - rho * u)
-    rec2 = multiply(rec, rec)
+    num_rec2 = multiply(num, multiply(rec, rec))
 
     h0 = c0 * multiply(num, rec)
     lead = -c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    h1 = lead * multiply(phi_a, multiply(num, rec2)) + ab * h0
+    h1 = lead * multiply(phi_a, num_rec2) + ab * h0
     g = multiply(rho.conjugate() * one - u, rec)
-    f = ((1 - r**6) / (1 - r**4)) * multiply(num, rec2)
+    f = ((1 - r**6) / (1 - r**4)) * num_rec2
     return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, n)
 
 
-def check_claim1_structure(w: Order3Witness):
+def _check_operator(w: Order3Witness, t: OperatorMatrix) -> None:
+    if t.truncation != w.truncation:
+        raise DomainError(f"operator truncation {t.truncation} != witness truncation {w.truncation}")
+
+
+def check_claim1_structure(w: Order3Witness, t: OperatorMatrix):
     """h0 is orthogonal to the phi_a^(3k+2) family and is fixed by the operator.
 
-    Returns ``(orthogonality residuals, eigen residual)``.
+    ``t`` is the matrix of the order-3 elliptic symbol centered at ``w.a``,
+    at the witness's truncation.  Returns ``(orthogonality residuals, eigen
+    residual)``.
     """
+    _check_operator(w, t)
     fam = w.phi_a_family(3 * k + 2 for k in range(_K_MAX + 1))
     orth = [abs(inner_product(w.h0, v)) for v in fam]
-    eig = (w.operator.apply(w.h0) - w.h0).norm()
+    eig = (t.apply(w.h0) - w.h0).norm()
     return orth, eig
 
 
@@ -224,37 +226,33 @@ def check_claim3_moments(w: Order3Witness) -> list[float]:
     ]
 
 
-def _delta_terms(rho: complex) -> int:
-    """Number of delta-law terms: rho^k falls below 1e-18, and at least 60."""
-    return math.ceil(max(60.0, math.log(1e-18) / math.log(max(abs(rho), 1e-6))))
-
-
-def check_claim4(w: Order3Witness):
+def check_claim4(w: Order3Witness, t: OperatorMatrix):
     """Structure of h1: orthogonality, eigenrelation, and the delta law.
 
-    Returns a dict with the orthogonality residuals of <h1, phi_a^(3k)>,
+    ``t`` is the operator matrix of ``check_claim1_structure``.  Returns a
+    dict with the orthogonality residuals of <h1, phi_a^(3k)>,
     the eigen residual of h1 - conj(a) h0 at eigenvalue omega, and the
     series residual of the delta-coefficient expansion
     delta_k = rho^k + k rho_tilde rho^(k-1).
     """
+    _check_operator(w, t)
     a, r = w.a, abs(w.a)
     ab = a.conjugate()
     fam = w.phi_a_family(3 * k for k in range(_K_MAX + 1))
     orth = [abs(inner_product(w.h1, v)) for v in fam]
 
     diff = w.h1 - ab * w.h0
-    eig = (w.operator.apply(diff) - OMEGA3 * diff).norm()
+    eig = (t.apply(diff) - OMEGA3 * diff).norm()
 
     # delta law: h1 - conj(a) h0 = lead * phi_a * sum_k delta_k (phi_a^3)^k,
     # where (phi_a^3)^k = phi_a^(3k) is every third column of the powers
     lead = -w.c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    terms = _delta_terms(w.rho)
     delta = np.array(
-        [1.0] + [w.rho**k + k * w.rho_tilde * w.rho ** (k - 1) for k in range(1, terms)],
+        [1.0] + [w.rho**k + k * w.rho_tilde * w.rho ** (k - 1) for k in range(1, _DELTA_TERMS)],
         dtype=np.complex128,
     )
     powers = w.phi_a_powers  # wide enough for every term by construction
-    acc = H2Series(powers[:, 0 : 3 * terms : 3] @ delta)
+    acc = H2Series(powers[:, 0 : 3 * _DELTA_TERMS : 3] @ delta)
     delta_residual = (diff - lead * multiply(H2Series(powers[:, 1]), acc)).norm()
     return {"orthogonality": orth, "eigen": eig, "delta_law": delta_residual}
 
@@ -304,18 +302,6 @@ def order3_truncation(a: complex, n: int = DEFAULT_TRUNCATION) -> int:
     if r < 0.05:  # the tail is shorter than 20 terms
         return n
     return max(n, min(math.ceil(1.35 * _tail_length(a)), MAX_TRUNCATION))
-
-
-def check_theorem_main_gap(a: complex, n: int | None = None) -> GapReport:
-    """The incompatibility of the two norms of f, evaluated numerically.
-
-    Builds the witness at truncation n (default ``order3_truncation(a)``)
-    and returns its ``gap_report``.
-    """
-    a = complex(a)
-    if a == 0:
-        raise DomainError("a = 0 is the rotation case; no contradiction exists")
-    return gap_report(build_order3_witness(a, 1.0, n))
 
 
 def gap_report(w: Order3Witness) -> GapReport:
@@ -376,11 +362,6 @@ def check_e1_norm(a: complex, n: int = DEFAULT_TRUNCATION) -> float:
 
 @dataclass
 class TheoremFinalReport:
-    b: complex
-    c: complex
-    a: complex
-    eta: complex
-    w0: complex
     truncation: int
     residuals: dict[str, float]
 
@@ -443,4 +424,4 @@ def check_theorem_final(
     m = matrix_of_composition(phi, n)
     res["eigen_h1"] = (m.apply(h1) - b * h1).norm()
     res["eigen_h2"] = (m.apply(h2) - b**2 * h2).norm()
-    return TheoremFinalReport(b, c, a, eta, w0, n, res)
+    return TheoremFinalReport(n, res)

@@ -27,7 +27,7 @@ from csymcomp.paperchecks import (
     check_claim4,
     check_lemma_tz,
     check_theorem_final,
-    check_theorem_main_gap,
+    gap_report,
 )
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -83,9 +83,10 @@ def test_criterion_3_order3_suite_polar_grid(capsys):
     for r in moduli[::10]:
         for ph in phases[::4]:
             w = build_order3_witness(r * ph)
-            orth, eig = check_claim1_structure(w)
+            t = matrix_of_composition(elliptic(OMEGA3, w.a), w.truncation)
+            orth, eig = check_claim1_structure(w, t)
             c2 = check_claim2_norm(w)
-            c4 = check_claim4(w)
+            c4 = check_claim4(w, t)
             worst_claims = max(
                 worst_claims,
                 max(orth),
@@ -100,7 +101,7 @@ def test_criterion_3_order3_suite_polar_grid(capsys):
             )
     for r in moduli:
         for ph in phases:
-            rep = check_theorem_main_gap(r * ph)
+            rep = gap_report(build_order3_witness(r * ph))
             worst_gap = max(worst_gap, rep.residual)
             all_positive = all_positive and rep.gap > 0
     ok = worst_claims <= 1e-7 and worst_gap <= 1e-8 and all_positive

@@ -156,8 +156,8 @@ def test_verify_order3_suite(capsys):
 
 
 def test_verify_all_near_circle_checks_elliptic3_at_witness_truncation(capsys):
-    # at N = 512 adjoint_star3[elliptic3] was 1.46e-6 > 1e-7; the witness's
-    # whole matrix (N = 4685) brings it to rounding level
+    # at N = 512 adjoint_star3[elliptic3] was 1.46e-6 > 1e-7; the matrix at
+    # the witness's truncation (N = 4685) brings it to rounding level
     code, out, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", "0.95")
     assert code == 0
     checks = json.loads(out)["checks"]
@@ -205,10 +205,39 @@ def test_verify_order3_rejects_bad_center(capsys, a):
 
 
 def test_verify_all_skips_order3_at_zero(capsys):
+    # order3 and final both need a != 0; the report's params.a is the a they would run at
     code, out, _ = run(capsys, "verify", "--json", "--suite", "all", "--a", "0", "--truncation", "64")
     assert code == 0
-    names = [ch["name"] for ch in json.loads(out)["checks"]]
-    assert names and not any(n.startswith(("claim", "gap_")) for n in names)
+    data = json.loads(out)
+    assert data["params"]["a"] == [0.0, 0.0]
+    names = [ch["name"] for ch in data["checks"]]
+    assert names and not any(n.startswith(("claim", "gap_", "theorem_final")) for n in names)
+
+
+def test_verify_final_rejects_zero_center(capsys):
+    code, out, err = run(capsys, "verify", "--json", "--suite", "final", "--a", "0")
+    assert (code, out, err) == (2, "", "error: need a in the open disk, a != 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "final", "--b", "0"],
+        ["--suite", "final", "--c", "0"],
+        ["--suite", "final", "--b", "0.8", "--c", "0.5"],
+        ["--suite", "final", "--b", "0.5", "--c", "0.5"],
+        ["--suite", "final", "--a", "1.5"],
+        ["--suite", "schroeder", "--b", "0"],
+    ],
+    ids=["final_b_0", "final_c_0", "final_not_selfmap", "final_eta_on_circle", "final_a_outside",
+         "schroeder_b_0"],
+)
+def test_verify_domain_rejection_exits_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, "verify", "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_pointwise_checks_have_no_truncation(capsys):
@@ -255,11 +284,11 @@ def test_verify_reads_a_complex_value_with_a_leading_minus(capsys):
 @pytest.mark.parametrize("a", ["0.5", "0.8"])
 def test_verify_builds_each_block_once(capsys, monkeypatch, a):
     # the suite reads each power block once at the shape it needs: `all`
-    # makes three full operator matrices (the order-3 witness's serves the
-    # elliptic3 adjoint checks too, also when it is wider than N), few
-    # truncated products and one order-3 witness for the claims and the gap
-    # checks together; `identities` builds no witness and one elliptic3
-    # matrix, at the witness's truncation
+    # makes three full operator matrices (one elliptic3 matrix at the
+    # witness's truncation serves the adjoint checks and the claims, also
+    # when it is wider than N), few truncated products and one order-3
+    # witness for the claims and the gap checks together; `identities`
+    # builds no witness and one elliptic3 matrix, at the witness's truncation
     squares, products, witnesses = [], [], []
     power_columns, multiply = backend.power_columns, hardy.multiply
     build_order3_witness = paperchecks.build_order3_witness
@@ -418,6 +447,19 @@ def test_corpus_reports_mismatch_exit_3(capsys, tmp_path):
     assert json.loads(out)["mismatches"] == 1
 
 
+def test_corpus_counts_a_non_selfmap_as_a_mismatch(capsys, tmp_path):
+    f = tmp_path / "outside.jsonl"
+    f.write_text('{"name":"x","family":"dilate_translate","a":[1.5,0],"expected_cs":false}\n')
+    code, out, _ = run(capsys, "corpus", "--json", "--in", str(f))
+    assert code == 3
+    data = json.loads(out)
+    assert data["mismatches"] == 1
+    (entry,) = data["results"]
+    assert entry["is_cs"] is None
+    assert entry["error"] == "not a self-map"
+    assert entry["match"] is False
+
+
 def test_corpus_malformed_line_exit_1(capsys, tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text("{not json}\n")
@@ -448,10 +490,13 @@ ROTATION = '{"family":"rotation","theta":1.0}'
         ["residual", "--symbol", ROTATION, "--truncation-schedule", "16,8"],
         ["sweep", "--family", "involution", "--grid", "a=0.1:0.5:2", "--out", "{tmp}/x.csv",
          "--restarts", "0"],
+        ["residual", "--symbol", "{bad"],
+        ["sweep", "--family", "involution", "--grid", "a=0.5:1.5:3", "--out", "{tmp}/x.csv"],
+        ["sweep", "--family", "involution", "--grid", "a=0.1:0.5:2", "--out", "{tmp}/missing/x.csv"],
     ],
     ids=["a_xyz", "truncation_0", "truncation_neg", "schedule_0", "schedule_4x", "corpus_missing",
          "sweep_residual_neg", "restarts_0", "restarts_neg", "max_iters_neg", "schedule_decreasing",
-         "sweep_restarts_0"],
+         "sweep_restarts_0", "residual_bad_symbol", "sweep_involution_outside", "sweep_out_missing_dir"],
 )
 def test_bad_input_exits_1_without_traceback(capsys, tmp_path, argv):
     code, _, err = run(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])

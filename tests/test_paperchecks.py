@@ -4,9 +4,13 @@ import cmath
 
 import pytest
 
+from csymcomp.compop import matrix_of_composition
 from csymcomp.errors import DomainError
 from csymcomp.hardy import evaluate
+from csymcomp.mobius import elliptic
 from csymcomp.paperchecks import (
+    _DELTA_TERMS,
+    OMEGA3,
     build_order3_witness,
     check_claim1_structure,
     check_claim2_norm,
@@ -15,7 +19,6 @@ from csymcomp.paperchecks import (
     check_e1_norm,
     check_lemma_tz,
     check_theorem_final,
-    check_theorem_main_gap,
     gap_report,
     order3_truncation,
     schroeder_sigma,
@@ -62,6 +65,11 @@ def test_schroeder_sigma_eigenrelation_pointwise():
 # -- order-3 elliptic witness functions -------------------------------------------
 
 
+def elliptic3_matrix(w):
+    """The matrix the claims read: the order-3 elliptic symbol at the witness's centre."""
+    return matrix_of_composition(elliptic(OMEGA3, w.a), w.truncation)
+
+
 @pytest.fixture(scope="module")
 def witness():
     return build_order3_witness(0.5)
@@ -85,7 +93,7 @@ def test_witness_g_is_inner_up_to_truncation(witness):
 
 
 def test_claim1_h_functions_orthogonal_eigenvectors(witness):
-    orth, eigen = check_claim1_structure(witness)
+    orth, eigen = check_claim1_structure(witness, elliptic3_matrix(witness))
     assert max(orth) < TOL
     assert eigen < TOL
 
@@ -102,7 +110,7 @@ def test_claim3_weighted_moments(witness):
 
 
 def test_claim4_delta_coefficient_law(witness):
-    out = check_claim4(witness)
+    out = check_claim4(witness, elliptic3_matrix(witness))
     assert max(out["orthogonality"]) < TOL
     assert out["eigen"] < TOL
     assert out["delta_law"] < TOL
@@ -111,10 +119,32 @@ def test_claim4_delta_coefficient_law(witness):
 @pytest.mark.parametrize("a", [0.3, 0.5 + 0.2j, 0.25 - 0.55j])
 def test_witness_checks_at_complex_centers(a):
     w = build_order3_witness(a)
-    orth, eigen = check_claim1_structure(w)
+    t = elliptic3_matrix(w)
+    orth, eigen = check_claim1_structure(w, t)
     assert max(orth) < TOL and eigen < TOL
     assert check_claim2_norm(w)["norm"] < TOL
-    assert check_claim4(w)["delta_law"] < TOL
+    assert check_claim4(w, t)["delta_law"] < TOL
+
+
+def test_claims_reject_a_matrix_of_another_truncation():
+    w = build_order3_witness(0.5, 64)
+    t = matrix_of_composition(elliptic(OMEGA3, 0.5), 32)
+    with pytest.raises(DomainError):
+        check_claim1_structure(w, t)
+    with pytest.raises(DomainError):
+        check_claim4(w, t)
+
+
+@pytest.mark.parametrize("r", [1e-6, 0.05, 0.5, 0.9, 0.99, 0.999, 1 - 1e-4])
+@pytest.mark.parametrize("phase", [1, 1j, cmath.exp(2.1j)])
+def test_delta_terms_cover_every_center(r, phase):
+    # |rho| = |a|/(1+|a|^2) <= 1/2, so _DELTA_TERMS terms of the delta law
+    # take rho^k below 1e-18 at every centre
+    w = build_order3_witness(r * phase, 64)
+    assert abs(w.rho) == pytest.approx(r / (1 + r * r), rel=1e-12)
+    assert abs(w.rho) <= 0.5
+    assert abs(w.rho) ** _DELTA_TERMS < 1e-18
+    assert w.phi_a_powers.shape == (64, 3 * _DELTA_TERMS - 2)
 
 
 def test_witness_rejects_center_outside_disk():
@@ -128,7 +158,7 @@ def test_witness_rejects_center_outside_disk():
 
 
 def test_gap_closed_form_at_half():
-    rep = check_theorem_main_gap(0.5)
+    rep = gap_report(build_order3_witness(0.5))
     r2 = 0.25
     want = (2 * r2 - r2**2 - r2**3) * (1 + r2) ** 2
     assert rep.expected_gap == pytest.approx(want)
@@ -139,16 +169,15 @@ def test_gap_closed_form_at_half():
 
 def test_gap_report_reads_a_given_witness():
     # the verify suite hands its own witness to the gap checks
-    w = build_order3_witness(0.6 + 0.2j, 1.0, 700)
+    w = build_order3_witness(0.6 + 0.2j, 700)
     rep = gap_report(w)
-    assert rep == check_theorem_main_gap(0.6 + 0.2j, 700)
     assert rep.truncation == 700
     assert rep.residual < 1e-8
 
 
 def test_gap_positive_across_moduli():
     for r in (0.1, 0.35, 0.6, 0.8, 0.9):
-        rep = check_theorem_main_gap(r * cmath.exp(0.4j))
+        rep = gap_report(build_order3_witness(r * cmath.exp(0.4j)))
         assert rep.residual < 1e-8
         assert rep.gap > 0
 
