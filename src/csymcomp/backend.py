@@ -1,5 +1,5 @@
 """Numerical kernels: truncated Cauchy products, power-series reciprocals,
-and the powers of a linear fractional map.
+the powers of a linear fractional map, and composition with such a map.
 
 Column k of the truncated matrix of C_phi, phi = (az + b)/(cz + d), holds
 the Taylor coefficients of phi**k.  Since (cz + d) phi**(k+1) = (az + b) phi**k,
@@ -8,18 +8,17 @@ comparing the coefficients of z**m gives the three-term recurrence
     M[m, k+1] = (b M[m, k] + a M[m-1, k] - c M[m-1, k+1]) / d,
 
 whose coefficients do not depend on (m, k).  Swept one antidiagonal at a
-time it takes n + k - 2 sequential steps.  Blocked into B x B tiles it takes
-about (n + k) / B: the interior of every tile is one fixed linear map, the
-transfer matrix, of the row above it and the column left of it, so each
-antidiagonal of tiles is one batch of products with that matrix (Irigoin
-and Triolet, "Supernode partitioning", POPL 1988).  A thin block is instead
+time it takes n + k - 2 sequential steps.  A thin block is instead
 grown by doubling along its long side: column j + 1 is phi times column j,
 and row m + 1 is psi times row m for m >= 1, where psi(w) = (aw - c)/(d - bw)
 is the adjoint symbol (Cowen, Integral Equations Operator Theory 11, 1988),
-which maps the disk into itself whenever phi does.
+which maps the disk into itself whenever phi does.  ``composer`` applies
+C_phi from one thin block, without forming its matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,24 +61,13 @@ def reciprocal(f, n: int) -> np.ndarray:
 # A block takes the doubling path when its short side is at most
 # ``_DOUBLING_MAX_SIDE`` and its long side is at least ``_DOUBLING_ASPECT``
 # times longer.  Doubling costs about long * short**2 multiply-adds in a few
-# matrix products; the tile wavefront costs its transfer matrix (about
-# 0.3 ms) plus one product per antidiagonal of tiles.  Measured with one
-# OpenBLAS thread, doubling wins by 2.4x to 5.7x where the short side is at
-# most 21 (64 x 16, 512 x 21, 7 x 512) and loses by up to 1.5x at a short
-# side of 64 (256 x 64, 6144 x 64); the threshold stays at 64 so that the
-# blocks it selects keep their values bit for bit.  Square blocks never
-# qualify, so every operator matrix comes from the tile wavefront.
+# matrix products; the sweep costs about 8 us of numpy overhead per
+# antidiagonal.  Measured with one OpenBLAS thread, doubling wins at every
+# such shape from 64 x 16 to 6144 x 64 (by 1.6x at 256 x 64, 36x at 512 x 2),
+# and loses once the short side passes about 100 (512 x 128, 512 x 178).
+# Square blocks never qualify, so every operator matrix comes from the sweep.
 _DOUBLING_MAX_SIDE = 64
 _DOUBLING_ASPECT = 4
-
-# Side of the tiles of the wavefront.  A tile costs 2B + 1 multiply-adds
-# per entry, and each antidiagonal of tiles about 6 us of numpy calls, so
-# small tiles pay in steps and large ones in products.  Measured on a 2-core
-# Xeon with one OpenBLAS thread (medians of 15): B = 8 builds 512 x 512 in
-# 3.9 ms and 512 x 178 in 1.5 ms, B = 16 in 5.0 ms and 2.1 ms, against 7 to
-# 14 ms and 3.7 to 8.5 ms for the plain antidiagonal sweep; B = 4, 6, 10 and
-# 12 are no faster than 8 at these shapes or at 2048 x 2048.
-_TILE = 8
 
 
 def power_columns(coeffs, n: int, k: int) -> np.ndarray:
@@ -88,14 +76,14 @@ def power_columns(coeffs, n: int, k: int) -> np.ndarray:
     ``coeffs`` is (a, b, c, d) for phi = (az + b)/(cz + d), whose pole must
     lie outside the closed unit disk.  Thin blocks (see
     ``_DOUBLING_MAX_SIDE``) are grown by doubling; all others, squares
-    included, by the tile wavefront of the recurrence.  Either way entry
+    included, by the antidiagonal sweep of the recurrence.  Either way entry
     (m, j) does not depend on n or k, bit for bit.
     """
     a, b, c, d = (complex(x) for x in coeffs)
     if d == 0:
         raise ExpansionDomainError("d = 0: the map has a pole at 0")
     if abs(c) <= 1e-15:
-        c = 0j  # the affine case, as in ``hardy.series_of_mobius``
+        c = 0j  # the affine case
     elif abs(d / c) <= 1.0 + 1e-12:
         raise ExpansionDomainError(f"pole {-d / c} lies in the closed unit disk")
     if n == 0 or k == 0:
@@ -105,7 +93,12 @@ def power_columns(coeffs, n: int, k: int) -> np.ndarray:
         if k < n:
             return _rows_by_doubling(a, b, c, d, n, k)
         return _columns_by_doubling(a, b, c, d, n, k)
-    return _tiled(b / d, a / d, c / d, n, k)
+    # row 0 is a zero row standing for m = -1, and column 0 holds phi**0
+    out = np.zeros((n + 1, k), dtype=np.complex128)
+    out[1, 0] = 1.0
+    if k > 1:
+        _sweep(out, b / d, a / d, c / d)
+    return out[1:]
 
 
 def _sweep(grid, bd, ad, cd):
@@ -127,52 +120,50 @@ def _sweep(grid, bd, ad, cd):
         flat[..., start:stop:step] = acc
 
 
-def _transfer(bd, ad, cd):
-    """(2B + 1) x B**2 matrix, B = ``_TILE``, that maps the boundary of a
-    B x B tile to its interior in row-major order.
+def _baby_steps(n: int) -> int:
+    """Baby steps p of ``composer``: 2 sqrt(n), within the doubling path.
+    With one OpenBLAS thread, a block and two applies of elliptic3 take
+    2.6 ms at n = 512 (p = 44; 3.3 ms at p = 63), and 96 ms and 0.45 s at
+    n = 4685 and 12 422 (p = 63; 166 ms and 0.99 s at p = 32)."""
+    return max(1, min(2 * math.isqrt(n), _DOUBLING_MAX_SIDE - 1, n // _DOUBLING_ASPECT - 1))
 
-    The boundary is the row above the tile from its corner (B + 1 entries),
-    then the column left of it (B entries).  Row e is the interior that the
-    recurrence fills from the unit impulse on boundary entry e.
+
+def _fft_length(m: int) -> int:
+    """Smallest 2**i 5**j >= m, a fast FFT length: 10 000 for m = 9369."""
+    return min(5**j << ((m - 1) // 5**j).bit_length() for j in range(m.bit_length()))
+
+
+def composer(coeffs, n: int, weight=None):
+    """The map f -> first n coefficients of w (f o phi), w = ``weight`` or 1,
+    for f of any length, by baby steps and giant steps (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973): with P = phi**0 .. phi**(p-1) and
+    s = phi**p, f o phi = sum_q s**q (P f_q), f_q the q-th slice of p
+    coefficients of f, summed by Horner's rule in s with FFT products.
     """
-    t = _TILE
-    grid = np.zeros((2 * t + 1, t + 1, t + 1), dtype=np.complex128)
-    grid[np.arange(t + 1), 0, np.arange(t + 1)] = 1.0
-    grid[np.arange(t + 1, 2 * t + 1), np.arange(1, t + 1), 0] = 1.0
-    _sweep(grid, bd, ad, cd)
-    return grid[:, 1:, 1:].reshape(2 * t + 1, t * t)
+    p = _baby_steps(n)
+    block = power_columns(coeffs, n, p + 1)
+    baby = block[:, :p]
+    size = _fft_length(2 * n - 1)  # a cyclic product of this length is exact below n
+    giant = np.fft.fft(block[:, p], size)
+    spectrum = None if weight is None else np.fft.fft(weight, size)
 
+    def apply(f) -> np.ndarray:
+        f = np.asarray(f, dtype=np.complex128)
+        slices = np.zeros((-(-f.size // p), p), dtype=np.complex128)
+        slices.reshape(-1)[: f.size] = f
+        last = len(slices) - 1
+        acc = np.zeros(n, dtype=np.complex128)
+        for lo in range(last - last % p, -1, -p):  # p slices at a time: O(np) memory
+            partial = baby @ slices[lo : lo + p].T
+            for q in range(partial.shape[1] - 1, -1, -1):
+                if lo + q < last:
+                    acc = np.fft.ifft(np.fft.fft(acc, size) * giant)[:n]
+                acc += partial[:, q]
+        if spectrum is not None:
+            acc = np.fft.ifft(np.fft.fft(acc, size) * spectrum)[:n]
+        return acc
 
-def _tiled(bd, ad, cd, n, k):
-    """The recurrence over antidiagonals of B x B tiles, B = ``_TILE``.
-
-    Row 0 of the work array is a zero row standing for m = -1, and column 0
-    holds phi**0; the tiles cover rows 1.. and columns 1.., rounded up to
-    whole tiles.  The tiles of one antidiagonal lie at equal strides in the
-    flattened array, so their boundaries are read and their interiors
-    written through strided views, with one product by the transfer matrix
-    per tile.  That product has a fixed shape, so entry (m, j) does not
-    depend on how many tiles share its antidiagonal, that is on n or k.
-    """
-    t = _TILE
-    tile_rows, tile_cols = -(-n // t), -(-(k - 1) // t)
-    cols = tile_cols * t + 1
-    out = np.zeros((tile_rows * t + 1, cols), dtype=np.complex128)
-    out[1, 0] = 1.0
-    if tile_cols:
-        transfer = _transfer(bd, ad, cd)
-        item = out.itemsize
-        hop = t * (cols - 1) * item  # from tile (i, j) to tile (i + 1, j - 1)
-        for s in range(tile_rows + tile_cols - 1):
-            lo, hi = max(0, s - tile_cols + 1), min(tile_rows - 1, s)
-            count = hi - lo + 1
-            at = item * t * (lo * cols + s - lo)  # corner of tile (lo, s - lo)
-            top = np.ndarray((count, t + 1), out.dtype, out, at, (hop, item))
-            left = np.ndarray((count, t), out.dtype, out, at + cols * item, (hop, cols * item))
-            inner = np.ndarray((count, t, t), out.dtype, out, at + (cols + 1) * item, (hop, cols * item, item))
-            boundary = np.concatenate((top, left), axis=1)
-            inner[...] = np.matmul(boundary[:, None, :], transfer).reshape(count, t, t)
-    return out[1 : n + 1, :k]
+    return apply
 
 
 def _geometric(t: complex, n: int) -> np.ndarray:

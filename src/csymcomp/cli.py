@@ -10,6 +10,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from enum import Enum
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .backend import backend_name
-from .compop import OperatorMatrix, adjoint_kernel_checks, lemma_star_s_check, matrix_of_composition
+from .compop import CompositionOperator, adjoint_kernel_checks, lemma_star_s_check
 from .conjfinder import OptimizeOptions, schedule_search
 from .csym import CsVerdict, decide
 from .errors import CsymcompError, NotSelfMapError
@@ -243,7 +244,7 @@ def _suite_pointwise(a: complex) -> list[dict]:
     return checks
 
 
-def _adjoint_checks(name: str, phi: MobiusMap, t: OperatorMatrix) -> list[dict]:
+def _adjoint_checks(name: str, phi: MobiusMap, t: CompositionOperator) -> list[dict]:
     residuals = adjoint_kernel_checks(phi, t)
     return [
         _check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, t.truncation)
@@ -251,18 +252,18 @@ def _adjoint_checks(name: str, phi: MobiusMap, t: OperatorMatrix) -> list[dict]:
     ]
 
 
-def _suite_identities(a: complex, n: int, elliptic3: OperatorMatrix) -> list[dict]:
-    """The adjoint checks on the given elliptic3 matrix, the rest at truncation n."""
+def _suite_identities(a: complex, n: int, elliptic3: CompositionOperator) -> list[dict]:
+    """The adjoint checks on the given elliptic3 operator, the rest at truncation n."""
     checks = _adjoint_checks("elliptic3", elliptic(OMEGA3, a), elliptic3)
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
     dilate = MobiusMap(0.5, a / 2.0, 0, 1)
-    checks += _adjoint_checks("dilate_translate", dilate, matrix_of_composition(dilate, n))
+    checks += _adjoint_checks("dilate_translate", dilate, CompositionOperator(dilate, n))
     for k, value in enumerate(lemma_star_s_check(a, n)):
         checks.append(_check(f"lemma_star_s[k={k}]", value, TOL_MATRIX, n))
     return checks
 
 
-def _suite_order3(w, elliptic3: OperatorMatrix) -> list[dict]:
+def _suite_order3(w, elliptic3: CompositionOperator) -> list[dict]:
     # one witness serves the claims and the gap checks; the e_1 series has
     # the same tail length as the witness, so e1_norm runs at its truncation
     a, nw = w.a, w.truncation
@@ -327,10 +328,10 @@ def cmd_verify(args) -> int:
             checks.extend(_suite_pointwise(a))
         if order3 or identities:
             # every elliptic3 check runs at the witness's truncation, or at n when a = 0;
-            # the witness comes first, so that it rejects a bad centre before the build
+            # the witness comes first, so that it rejects a bad centre before the operator
             n3 = order3_truncation(a, n) if a else n
             witness = build_order3_witness(a, n3) if order3 else None
-            elliptic3 = matrix_of_composition(elliptic(OMEGA3, a), n3)
+            elliptic3 = CompositionOperator(elliptic(OMEGA3, a), n3)
             if identities:
                 checks.extend(_suite_identities(a, n, elliptic3))
             if order3:
@@ -395,6 +396,7 @@ def cmd_residual(args) -> int:
             "best_residual": rep.best_residual,
             "iterations": rep.iterations,
             "restarts": rep.restarts,
+            **_worst_stop(rep),
         }
         for n, rep in zip(schedule, reports)
     ]
@@ -407,6 +409,13 @@ def cmd_residual(args) -> int:
     }
     emit(report, args.json)
     return 0
+
+
+def _worst_stop(rep) -> dict:
+    """The worst stop reason among a search's restarts, and its gradient norm."""
+    order = ("max_iters", "armijo", "grad", "tol")  # from worst to best
+    worst = min(rep.stops, key=lambda s: (order.index(s.reason), -s.grad_norm))
+    return {"stop": worst.reason, "grad_norm": _sig15(worst.grad_norm)}
 
 
 def _grid_values(grid: str):
@@ -448,18 +457,16 @@ def cmd_sweep(args) -> int:
             row["class"] = "not_self_map"
             row["is_cs"] = False
         if args.residual_truncation and row["class"] == "not_self_map":
-            row["best_residual"] = None
+            row.update(best_residual=None, stop=None, grad_norm=None)
         elif args.residual_truncation:
             opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
             rep = schedule_search(phi, [args.residual_truncation], opts)[0]
-            row["best_residual"] = _sig15(rep.best_residual)
+            row.update(best_residual=_sig15(rep.best_residual), **_worst_stop(rep))
         rows.append(row)
     fieldnames = list(rows[0].keys()) if rows else ["family", param, "class", "is_cs"]
-    import csv as _csv
-
     try:
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=fieldnames, quoting=_csv.QUOTE_MINIMAL)
+            writer = csv.DictWriter(fh, fieldnames=fieldnames, quoting=csv.QUOTE_MINIMAL)
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)

@@ -1,16 +1,16 @@
 """Matrix representations of composition operators in the monomial basis.
 
 The operator f -> f o phi is compressed to the span of the first N
-monomials: column n holds the truncated coefficients of phi**n.  The
-adjoint is the conjugate transpose, applied in place by
-``OperatorMatrix.apply_adjoint``.  The classical adjoint identities on
-reproducing kernels and on the e_k = K_a phi_a^k family serve as
-residual oracles for the construction.
+monomials: column n holds the truncated coefficients of phi**n.
+``CompositionOperator`` applies it and its adjoint without the matrix.  The
+classical adjoint identities on reproducing kernels and on the
+e_k = K_a phi_a^k family serve as residual oracles for the construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +33,42 @@ from .mobius import (
 )
 
 
+class CompositionOperator:
+    """The compression M of C_phi to truncation N, applied without forming M.
+
+    ``apply(f)`` is the first N coefficients of f o phi, f of any length.
+    ``apply_adjoint`` is M^H by Cowen's formula (Integral Equations Operator
+    Theory 11, 1988): for phi = (Az + B)/(Cz + D), C_phi^* = T_g C_sigma T_h^*
+    with g = 1/(conj(D) - conj(B) z), sigma = (conj(A) z - conj(C)) g and
+    h = Cz + D.  It is exact below degree N: T_h^* keeps the degree, and T_g
+    is lower triangular.
+    """
+
+    def __init__(self, phi: MobiusMap, n: int):
+        if not is_disk_selfmap(phi):
+            raise NotSelfMapError("composition symbol must map the disk into itself")
+        self.phi = phi
+        self.truncation = n
+
+    @cached_property
+    def _forward(self):
+        return backend.composer(self.phi.coefficients, self.truncation)
+
+    @cached_property
+    def _adjoint(self):
+        a, b, c, d = (complex(x).conjugate() for x in self.phi.coefficients)
+        g = (b / d) ** np.arange(self.truncation) / d
+        return backend.composer((a, -c, -b, d), self.truncation, g)
+
+    def apply(self, f: H2Series) -> H2Series:
+        return H2Series(self._forward(f.coeffs))
+
+    def apply_adjoint(self, f: H2Series) -> H2Series:
+        x = f.extended(self.truncation).coeffs
+        c, d = (complex(v).conjugate() for v in self.phi.coefficients[2:])
+        return H2Series(self._adjoint(d * x + c * np.append(x[1:], 0)))  # of T_h^* x
+
+
 @dataclass
 class OperatorMatrix:
     """Dense truncation M of a composition operator."""
@@ -42,13 +78,6 @@ class OperatorMatrix:
     @property
     def truncation(self) -> int:
         return self.data.shape[0]
-
-    def apply(self, f: H2Series) -> H2Series:
-        return H2Series(self.data @ f.extended(self.truncation).coeffs)
-
-    def apply_adjoint(self, f: H2Series) -> H2Series:
-        """M^H f, as conj(M^t conj(f)), which reads M in place."""
-        return H2Series((self.data.T @ f.extended(self.truncation).coeffs.conj()).conj())
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -85,10 +114,10 @@ def e_function(a: complex, k: int, n: int) -> H2Series:
     return out
 
 
-def adjoint_kernel_checks(phi: MobiusMap, t: OperatorMatrix):
+def adjoint_kernel_checks(phi: MobiusMap, t: CompositionOperator):
     """Residuals of the three adjoint identities at the interior fixed point.
 
-    ``t`` is the matrix of phi.  For phi(a) = a with |a| < 1 the adjoint
+    ``t`` is the operator of phi.  For phi(a) = a with |a| < 1 the adjoint
     fixes K_a, scales the first derivative kernel by conj(phi'(a)), and acts
     on the second derivative kernel by conj(phi'(a))^2 plus a conj(phi''(a))
     multiple of the first.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .errors import DomainError, ExpansionDomainError
+from .errors import DomainError
 from .mobius import (
     DEFAULT_TOL,
     MobiusMap,
@@ -133,27 +133,10 @@ def series_of_mobius(f: MobiusMap, n: int) -> H2Series:
     """Taylor expansion of a linear fractional map about 0.
 
     Requires the pole (if any) to lie outside the closed unit disk; the
-    coefficients then decay geometrically with ratio 1/|pole|.
+    coefficients then decay geometrically with ratio 1/|pole|.  This is
+    column 1 of ``backend.power_columns``, which enforces the pole rule.
     """
-    a, b, c, d = f.coefficients
-    out = np.zeros(n, dtype=np.complex128)
-    if abs(c) <= 1e-15:
-        out[0] = b / d
-        if n > 1:
-            out[1] = a / d
-        return H2Series(out)
-    pole = -d / c
-    if abs(pole) <= 1.0 + 1e-12:
-        raise ExpansionDomainError(f"pole {pole} lies in the closed unit disk")
-    # (az+b)/d * 1/(1 - t z) with t = -c/d, |t| < 1
-    t = -c / d
-    out[0] = b / d
-    tp = 1.0 + 0.0j
-    for m in range(1, n):
-        # coefficient: (b/d) t^m + (a/d) t^(m-1)
-        out[m] = (b / d) * tp * t + (a / d) * tp
-        tp *= t
-    return H2Series(out)
+    return H2Series(backend.power_columns(f.coefficients, n, 2)[:, 1])
 
 
 def multiply(f: H2Series, g: H2Series) -> H2Series:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import backend
-from .compop import OperatorMatrix, e_function, involution_powers, matrix_of_composition
+from .compop import CompositionOperator, e_function
 from .errors import DomainError
 from .hardy import (
     H2Series,
@@ -34,10 +33,6 @@ from .mobius import MobiusMap, apply, compose, involution
 DEFAULT_TRUNCATION = 512
 
 OMEGA3 = np.exp(2j * np.pi / 3)
-
-#: Largest truncation of the order-3 witness: its dense operator matrix
-#: takes 16 N^2 bytes, 600 MB at the cap.
-MAX_TRUNCATION = 6144
 
 #: Size of the phi_a families the order-3 claims check.
 _K_MAX = 6
@@ -109,9 +104,9 @@ def check_lemma_tz(b: complex, c: complex, n: int = DEFAULT_TRUNCATION):
 class Order3Witness:
     """Closed-form functions entering the order-3 contradiction argument.
 
-    The claims read the powers of phi_a as columns (``phi_a_powers``), which
-    the witness builds on first use; the matrix of the elliptic symbol is
-    the caller's.
+    ``phi_a_powers`` holds phi_a**j in column j for j <= 3 ``_K_MAX`` + 2,
+    every power the claims read; the operator of the elliptic symbol is the
+    caller's.
     """
 
     a: complex
@@ -123,18 +118,12 @@ class Order3Witness:
     g: H2Series
     f: H2Series
     truncation: int
+    phi_a_powers: np.ndarray
 
     @property
     def g0(self) -> complex:
         """Value of the inner factor at the origin: -a^2/conj(a)."""
         return -self.a**2 / self.a.conjugate()
-
-    @cached_property
-    def phi_a_powers(self) -> np.ndarray:
-        """Column j holds phi_a**j, for every j the claims read:
-        3k + 2 for k <= 6 and 3k for the delta-law terms."""
-        width = max(3 * _K_MAX + 3, 3 * _DELTA_TERMS - 2)
-        return backend.power_columns(involution(self.a).coefficients, self.truncation, width)
 
     def phi_a_family(self, exponents) -> list[H2Series]:
         """phi_a**e for e in exponents, read from ``phi_a_powers``."""
@@ -159,7 +148,8 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     rho_tilde = -(ab**2 / a) * (1 - r**6) / (1 - r**4)
     c0 = 1 / (1 - r**4)
 
-    phi_a, u = involution_powers(a, [1, 3], n)
+    powers = backend.power_columns(involution(a).coefficients, n, 3 * _K_MAX + 3)
+    phi_a, u = H2Series(powers[:, 1]), H2Series(powers[:, 3])
     one = constant(1.0, n)
     num = one - ab**3 * u  # 1 - conj(a)^3 phi_a^3
     rec = reciprocal(one - rho * u)
@@ -170,18 +160,18 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     h1 = lead * multiply(phi_a, num_rec2) + ab * h0
     g = multiply(rho.conjugate() * one - u, rec)
     f = ((1 - r**6) / (1 - r**4)) * num_rec2
-    return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, n)
+    return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, n, powers)
 
 
-def _check_operator(w: Order3Witness, t: OperatorMatrix) -> None:
+def _check_operator(w: Order3Witness, t: CompositionOperator) -> None:
     if t.truncation != w.truncation:
         raise DomainError(f"operator truncation {t.truncation} != witness truncation {w.truncation}")
 
 
-def check_claim1_structure(w: Order3Witness, t: OperatorMatrix):
+def check_claim1_structure(w: Order3Witness, t: CompositionOperator):
     """h0 is orthogonal to the phi_a^(3k+2) family and is fixed by the operator.
 
-    ``t`` is the matrix of the order-3 elliptic symbol centered at ``w.a``,
+    ``t`` is the operator of the order-3 elliptic symbol centered at ``w.a``,
     at the witness's truncation.  Returns ``(orthogonality residuals, eigen
     residual)``.
     """
@@ -226,10 +216,10 @@ def check_claim3_moments(w: Order3Witness) -> list[float]:
     ]
 
 
-def check_claim4(w: Order3Witness, t: OperatorMatrix):
+def check_claim4(w: Order3Witness, t: CompositionOperator):
     """Structure of h1: orthogonality, eigenrelation, and the delta law.
 
-    ``t`` is the operator matrix of ``check_claim1_structure``.  Returns a
+    ``t`` is the operator of ``check_claim1_structure``.  Returns a
     dict with the orthogonality residuals of <h1, phi_a^(3k)>,
     the eigen residual of h1 - conj(a) h0 at eigenvalue omega, and the
     series residual of the delta-coefficient expansion
@@ -244,16 +234,14 @@ def check_claim4(w: Order3Witness, t: OperatorMatrix):
     diff = w.h1 - ab * w.h0
     eig = (t.apply(diff) - OMEGA3 * diff).norm()
 
-    # delta law: h1 - conj(a) h0 = lead * phi_a * sum_k delta_k (phi_a^3)^k,
-    # where (phi_a^3)^k = phi_a^(3k) is every third column of the powers
+    # delta law: h1 - conj(a) h0 = lead * sum_k delta_k phi_a^(3k+1), which
+    # is C_(phi_a) applied to the polynomial sum_k delta_k z^(3k+1)
     lead = -w.c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    delta = np.array(
-        [1.0] + [w.rho**k + k * w.rho_tilde * w.rho ** (k - 1) for k in range(1, _DELTA_TERMS)],
-        dtype=np.complex128,
-    )
-    powers = w.phi_a_powers  # wide enough for every term by construction
-    acc = H2Series(powers[:, 0 : 3 * _DELTA_TERMS : 3] @ delta)
-    delta_residual = (diff - lead * multiply(H2Series(powers[:, 1]), acc)).norm()
+    poly = np.zeros(3 * _DELTA_TERMS - 1, dtype=np.complex128)
+    poly[1] = 1.0
+    poly[4::3] = [w.rho**k + k * w.rho_tilde * w.rho ** (k - 1) for k in range(1, _DELTA_TERMS)]
+    law = CompositionOperator(involution(a), w.truncation).apply(H2Series(poly))
+    delta_residual = (diff - lead * law).norm()
     return {"orthogonality": orth, "eigen": eig, "delta_law": delta_residual}
 
 
@@ -291,9 +279,9 @@ def order3_truncation(a: complex, n: int = DEFAULT_TRUNCATION) -> int:
 
     The eigen checks route the witness through the operator matrix, whose
     tail needs a margin of about 1.35 times the tail of f; this keeps
-    n = 512 up to |a| = 0.71 and passes every claim at |a| = 0.95.  The
+    n = 512 up to |a| = 0.71 and passes every claim at |a| = 0.95 to 0.99.  The
     result is at least 512, so that the tail of f is negligible at 1e-9
-    scale, and at most ``MAX_TRUNCATION`` unless n asks for more.
+    scale.
     """
     r = abs(a)
     if not 0 < r < 1:
@@ -301,7 +289,7 @@ def order3_truncation(a: complex, n: int = DEFAULT_TRUNCATION) -> int:
     n = max(n, DEFAULT_TRUNCATION)
     if r < 0.05:  # the tail is shorter than 20 terms
         return n
-    return max(n, min(math.ceil(1.35 * _tail_length(a)), MAX_TRUNCATION))
+    return max(n, math.ceil(1.35 * _tail_length(a)))
 
 
 def gap_report(w: Order3Witness) -> GapReport:
@@ -421,7 +409,7 @@ def check_theorem_final(
     )
 
     phi = compose(involution(a), compose(_bz_over_one_minus_cz(b, c), involution(a)))
-    m = matrix_of_composition(phi, n)
+    m = CompositionOperator(phi, n)
     res["eigen_h1"] = (m.apply(h1) - b * h1).norm()
     res["eigen_h2"] = (m.apply(h2) - b**2 * h2).norm()
     return TheoremFinalReport(n, res)

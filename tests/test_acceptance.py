@@ -12,6 +12,7 @@ import pytest
 
 from csymcomp.cli import main as cli_main
 from csymcomp.compop import (
+    CompositionOperator,
     adjoint_kernel_checks,
     eigen_decompose,
     lemma_star_s_check,
@@ -65,7 +66,7 @@ def test_criterion_2_adjoint_identity_suite(capsys):
         # rotation-conjugate symbol with interior fixed point a, and the
         # dilate-translate symbol fixing a: z/2 + a/2
         for phi in (elliptic(OMEGA3, a), MobiusMap(0.5, a / 2, 0, 1)):
-            worst = max(worst, max(adjoint_kernel_checks(phi, matrix_of_composition(phi, n))))
+            worst = max(worst, max(adjoint_kernel_checks(phi, CompositionOperator(phi, n))))
         worst = max(worst, max(lemma_star_s_check(a, n)))
     elapsed = time.time() - t0
     ok = worst <= 1e-7 and elapsed < 30.0
@@ -83,7 +84,7 @@ def test_criterion_3_order3_suite_polar_grid(capsys):
     for r in moduli[::10]:
         for ph in phases[::4]:
             w = build_order3_witness(r * ph)
-            t = matrix_of_composition(elliptic(OMEGA3, w.a), w.truncation)
+            t = CompositionOperator(elliptic(OMEGA3, w.a), w.truncation)
             orth, eig = check_claim1_structure(w, t)
             c2 = check_claim2_norm(w)
             c4 = check_claim4(w, t)

@@ -9,6 +9,7 @@ import pytest
 
 from csymcomp.backend import power_columns
 from csymcomp.compop import (
+    CompositionOperator,
     adjoint_kernel_checks,
     e_function,
     eigen_decompose,
@@ -41,7 +42,7 @@ def test_matrix_of_rotation_is_diagonal():
 
 def test_matrix_of_dilation_translation_is_upper_triangular():
     m = matrix_of_composition(MobiusMap(0.5, 0.25, 0, 1), 100).data
-    assert np.all(np.tril(m, -1) == 0.0)  # exact zeros across tile edges
+    assert np.all(np.tril(m, -1) == 0.0)  # exact zeros below the diagonal
     # column n holds the binomial expansion of (z/2 + 1/4)^n
     assert m[0, 0] == 1.0
     assert m[0, 1] == pytest.approx(0.25)
@@ -74,10 +75,11 @@ def test_matrix_column_is_symbol_power(phi):
         return want
 
     # 64 x 4, 512 x 21, 9 x 1 and 4 x 1 double along rows, 8 x 64 and 1 x 9
-    # along columns; the other shapes take the tile wavefront, and the
-    # square ones from 7 to 17 straddle the edges of its 8 x 8 tiles
+    # along columns; the other shapes take the antidiagonal sweep, 2 x 1 and
+    # 3 x 1 with a single column
     shapes = [(64, 64), (64, 4), (512, 21), (8, 64), (1, 1), (1, 9), (9, 1), (4, 1), (0, 5), (5, 0), (0, 0)]
     shapes += [(7, 7), (8, 8), (9, 9), (15, 15), (16, 16), (17, 17), (17, 40), (40, 17), (100, 33), (512, 178)]
+    shapes += [(2, 1), (3, 1)]
     for n, k in shapes:
         got = power_columns(phi.coefficients, n, k)
         assert got.shape == (n, k)
@@ -93,7 +95,7 @@ def test_matrix_column_is_symbol_power(phi):
 def test_matrix_matches_mpmath_reference():
     # oracle: phi**k solves (cz + d)(az + b) g' = k (ad - bc) g with
     # g(0) = (b/d)**k, a recurrence down each column that shares nothing
-    # with the wavefront; at 50 digits its rounding stays far below 1e-13
+    # with the sweep; at 50 digits its rounding stays far below 1e-13
     phi = elliptic(OMEGA3, 0.99)
     n = 128
     with mpmath.workdps(50):
@@ -111,30 +113,64 @@ def test_matrix_matches_mpmath_reference():
 def test_matrix_applies_like_pointwise_composition():
     phi = involution(0.3 + 0.2j)
     n = 512
-    m = matrix_of_composition(phi, n)
     f = H2Series(np.array([1.0, -0.5, 2.0, 1j], dtype=complex)).extended(n)
-    g = m.apply(f)
     z = 0.4 - 0.3j
-    assert evaluate(g, z) == pytest.approx(evaluate(f, phi(z).finite), abs=1e-10)
+    for g in (H2Series(matrix_of_composition(phi, n).data @ f.coeffs), CompositionOperator(phi, n).apply(f)):
+        assert evaluate(g, z) == pytest.approx(evaluate(f, phi(z).finite), abs=1e-10)
+    # f longer than N: the operator gives the first N coefficients of f o phi,
+    # which read every coefficient of f, as the first N rows of a wider matrix do
+    f = H2Series(np.ones(40))
+    g = CompositionOperator(phi, 16).apply(f)
+    assert np.max(np.abs(g.coeffs - (matrix_of_composition(phi, 40).data @ f.coeffs)[:16])) <= 1e-14
+    z = 0.1
+    assert evaluate(g, z) == pytest.approx(evaluate(f, phi(z).finite), abs=1e-13)
+    assert abs(evaluate(f.extended(16), phi(z).finite) - evaluate(f, phi(z).finite)) > 1e-9
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+@pytest.mark.parametrize(
+    "phi",
+    [
+        elliptic(OMEGA3, 0.5),
+        elliptic(OMEGA3, 0.95),
+        elliptic(OMEGA3, 0.6 + 0.5j),
+        involution(0.3 + 0.2j),
+        MobiusMap(0.5, 0.25 + 0.1j, 0, 1),  # the dilate z/2 + a/2: c = 0
+        MobiusMap(0.5, 0, -0.3, 1),  # bz/(1 - cz)
+    ],
+    ids=["elliptic3_0.5", "elliptic3_0.95", "elliptic3_0.6+0.5i", "involution", "dilate", "bz_over_1_minus_cz"],
+)
+def test_operator_matches_dense_matrix(phi, n):
+    m = matrix_of_composition(phi, n).data
+    op = CompositionOperator(phi, n)
+    assert op.truncation == n
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for got, want in ((op.apply(H2Series(x)), m @ x), (op.apply_adjoint(H2Series(x)), m.conj().T @ x)):
+        assert got.truncation == n
+        assert np.linalg.norm(got.coeffs - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_matrix_rejects_non_selfmap():
     with pytest.raises(NotSelfMapError):
         matrix_of_composition(MobiusMap(2, 0, 0, 1), 8)
+    with pytest.raises(NotSelfMapError):
+        CompositionOperator(MobiusMap(2, 0, 0, 1), 8)
 
 
 def test_adjoint_is_conjugate_transpose():
-    m = matrix_of_composition(involution(0.4 + 0.1j), 16)
+    phi = involution(0.4 + 0.1j)
+    m = matrix_of_composition(phi, 16)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.allclose(m.apply_adjoint(H2Series(x)).coeffs, m.data.conj().T @ x)
+    assert np.allclose(CompositionOperator(phi, 16).apply_adjoint(H2Series(x)).coeffs, m.data.conj().T @ x)
 
 
 def test_adjoint_reproduces_kernel_covariance():
     # C_phi^* K_w = K_{phi(w)} holds exactly; truncation error only in the tail
     phi = involution(0.5)
     n = 512
-    m = matrix_of_composition(phi, n)
+    m = CompositionOperator(phi, n)
     w = 0.3 + 0.1j
     got = m.apply_adjoint(reproducing_kernel(w, n))
     want = reproducing_kernel(phi(w).finite, n)
@@ -146,13 +182,13 @@ def test_adjoint_reproduces_kernel_covariance():
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.5 + 0.2j, 0.7])
 def test_adjoint_kernel_checks_involution(a):
-    r1, r2, r3 = adjoint_kernel_checks(involution(a), matrix_of_composition(involution(a), 512))
+    r1, r2, r3 = adjoint_kernel_checks(involution(a), CompositionOperator(involution(a), 512))
     assert max(r1, r2, r3) < 1e-7
 
 
 def test_adjoint_kernel_checks_elliptic3():
     phi = elliptic(OMEGA3, 0.5)
-    r1, r2, r3 = adjoint_kernel_checks(phi, matrix_of_composition(phi, 512))
+    r1, r2, r3 = adjoint_kernel_checks(phi, CompositionOperator(phi, 512))
     assert max(r1, r2, r3) < 1e-7
 
 
@@ -181,7 +217,7 @@ def test_order3_eigenspace_residuals():
     # phi_a^k is an eigenvector of C_phi for w^k, and e_k - a e_(k-1) one of
     # its adjoint for conj(w)^k
     a, n = 0.5, 512
-    m = matrix_of_composition(elliptic(OMEGA3, a), n)
+    m = CompositionOperator(elliptic(OMEGA3, a), n)
     powers = involution_powers(a, range(7), n)
     e = [multiply(reproducing_kernel(a, n), p) for p in powers]
     for k, vec in enumerate(powers):
@@ -225,7 +261,7 @@ def test_schroeder_eigenrelation():
     coeffs = np.zeros(n, dtype=complex)
     coeffs[1:] = eta ** np.arange(n - 1)
     sigma = H2Series(coeffs)
-    assert (matrix_of_composition(phi, n).apply(sigma) - b * sigma).norm() < 1e-10
+    assert (CompositionOperator(phi, n).apply(sigma) - b * sigma).norm() < 1e-10
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 1, 0.5), (1, 0, 1, 1), (1, 1, 0, 0)], ids=["pole_inside", "pole_on_circle", "d_zero"])

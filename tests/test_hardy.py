@@ -229,6 +229,10 @@ def test_series_of_involution_closed_form():
     ab = np.conj(a)
     want = -(1 - abs(a) ** 2) * ab ** (np.arange(1, 32) - 1)
     assert np.allclose(s.coeffs[1:], want, atol=1e-12)
+    # the shortest truncations, n = 0 included
+    assert series_of_mobius(involution(a), 0).truncation == 0
+    for n in (1, 2, 3):
+        assert np.allclose(series_of_mobius(involution(a), n).coeffs, s.coeffs[:n], rtol=0, atol=1e-15)
 
 
 @given(disk_points, st.floats(0, 2 * math.pi))

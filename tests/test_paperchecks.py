@@ -4,7 +4,7 @@ import cmath
 
 import pytest
 
-from csymcomp.compop import matrix_of_composition
+from csymcomp.compop import CompositionOperator
 from csymcomp.errors import DomainError
 from csymcomp.hardy import evaluate
 from csymcomp.mobius import elliptic
@@ -65,9 +65,9 @@ def test_schroeder_sigma_eigenrelation_pointwise():
 # -- order-3 elliptic witness functions -------------------------------------------
 
 
-def elliptic3_matrix(w):
-    """The matrix the claims read: the order-3 elliptic symbol at the witness's centre."""
-    return matrix_of_composition(elliptic(OMEGA3, w.a), w.truncation)
+def elliptic3_operator(w):
+    """The operator the claims apply: the order-3 elliptic symbol at the witness's centre."""
+    return CompositionOperator(elliptic(OMEGA3, w.a), w.truncation)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_witness_g_is_inner_up_to_truncation(witness):
 
 
 def test_claim1_h_functions_orthogonal_eigenvectors(witness):
-    orth, eigen = check_claim1_structure(witness, elliptic3_matrix(witness))
+    orth, eigen = check_claim1_structure(witness, elliptic3_operator(witness))
     assert max(orth) < TOL
     assert eigen < TOL
 
@@ -110,7 +110,7 @@ def test_claim3_weighted_moments(witness):
 
 
 def test_claim4_delta_coefficient_law(witness):
-    out = check_claim4(witness, elliptic3_matrix(witness))
+    out = check_claim4(witness, elliptic3_operator(witness))
     assert max(out["orthogonality"]) < TOL
     assert out["eigen"] < TOL
     assert out["delta_law"] < TOL
@@ -119,7 +119,7 @@ def test_claim4_delta_coefficient_law(witness):
 @pytest.mark.parametrize("a", [0.3, 0.5 + 0.2j, 0.25 - 0.55j])
 def test_witness_checks_at_complex_centers(a):
     w = build_order3_witness(a)
-    t = elliptic3_matrix(w)
+    t = elliptic3_operator(w)
     orth, eigen = check_claim1_structure(w, t)
     assert max(orth) < TOL and eigen < TOL
     assert check_claim2_norm(w)["norm"] < TOL
@@ -128,7 +128,7 @@ def test_witness_checks_at_complex_centers(a):
 
 def test_claims_reject_a_matrix_of_another_truncation():
     w = build_order3_witness(0.5, 64)
-    t = matrix_of_composition(elliptic(OMEGA3, 0.5), 32)
+    t = CompositionOperator(elliptic(OMEGA3, 0.5), 32)
     with pytest.raises(DomainError):
         check_claim1_structure(w, t)
     with pytest.raises(DomainError):
@@ -144,7 +144,7 @@ def test_delta_terms_cover_every_center(r, phase):
     assert abs(w.rho) == pytest.approx(r / (1 + r * r), rel=1e-12)
     assert abs(w.rho) <= 0.5
     assert abs(w.rho) ** _DELTA_TERMS < 1e-18
-    assert w.phi_a_powers.shape == (64, 3 * _DELTA_TERMS - 2)
+    assert w.phi_a_powers.shape == (64, 21)  # phi_a**j for j <= 3 * 6 + 2
 
 
 def test_witness_rejects_center_outside_disk():
@@ -184,22 +184,22 @@ def test_gap_positive_across_moduli():
 
 def test_order3_truncation_grows_near_boundary():
     assert order3_truncation(0.9) > order3_truncation(0.3)
-    assert 512 <= order3_truncation(0.05) <= 6144
-    assert 512 <= order3_truncation(0.95) <= 6144
+    assert order3_truncation(0.05) == 512
+    assert 512 < order3_truncation(0.95) < order3_truncation(0.98) < order3_truncation(0.99) == 25329
 
 
 @pytest.mark.parametrize(
     "r,want",
     [(0.02, 512), (0.3, 512), (0.5, 512), (0.69, 512), (0.7, 512), (0.71, 512),
      (0.72, 516), (0.74, 581), (0.75, 617), (0.8, 860), (0.85, 1275), (0.9, 2119),
-     (0.95, 4685), (0.98, 6144)],
+     (0.95, 4685), (0.98, 12422)],
 )
 def test_order3_truncation_values(r, want):
     # the truncation depends on |a| only
     assert order3_truncation(r) == want
     assert order3_truncation(r * cmath.exp(2.1j)) == want
     assert order3_truncation(r, 32) == want
-    assert order3_truncation(r, 7000) == 7000
+    assert order3_truncation(r, 7000) == max(7000, want)
 
 
 @pytest.mark.parametrize("a", [0, 1, -1j, 1.5, 0.6 + 0.8j])
