@@ -12,8 +12,7 @@ time it takes n + k - 2 sequential steps.  A thin block is instead
 grown by doubling along its long side: column j + 1 is phi times column j,
 and row m + 1 is psi times row m for m >= 1, where psi(w) = (aw - c)/(d - bw)
 is the adjoint symbol (Cowen, Integral Equations Operator Theory 11, 1988),
-which maps the disk into itself whenever phi does.  ``composer`` applies
-C_phi from one thin block, without forming its matrix.
+which maps the disk into itself whenever phi does.
 """
 
 from __future__ import annotations
@@ -121,10 +120,10 @@ def _sweep(grid, bd, ad, cd):
 
 
 def _baby_steps(n: int) -> int:
-    """Baby steps p of ``composer``: 2 sqrt(n), within the doubling path.
-    With one OpenBLAS thread, a block and two applies of elliptic3 take
-    2.6 ms at n = 512 (p = 44; 3.3 ms at p = 63), and 96 ms and 0.45 s at
-    n = 4685 and 12 422 (p = 63; 166 ms and 0.99 s at p = 32)."""
+    """Baby steps p of ``composer``: 2 sqrt(n), within the doubling path.  With
+    one OpenBLAS thread, a block, an apply and an adjoint of elliptic3 take
+    2.8 ms at n = 512 (p = 44; 3.2 ms at p = 63), and 95 ms and 0.66 s at
+    n = 4685 and 12 422 (p = 63; 145 ms and 1.19 s at p = 32)."""
     return max(1, min(2 * math.isqrt(n), _DOUBLING_MAX_SIDE - 1, n // _DOUBLING_ASPECT - 1))
 
 
@@ -133,19 +132,23 @@ def _fft_length(m: int) -> int:
     return min(5**j << ((m - 1) // 5**j).bit_length() for j in range(m.bit_length()))
 
 
-def composer(coeffs, n: int, weight=None):
-    """The map f -> first n coefficients of w (f o phi), w = ``weight`` or 1,
-    for f of any length, by baby steps and giant steps (Paterson and
-    Stockmeyer, SIAM J. Comput. 2, 1973): with P = phi**0 .. phi**(p-1) and
-    s = phi**p, f o phi = sum_q s**q (P f_q), f_q the q-th slice of p
-    coefficients of f, summed by Horner's rule in s with FFT products.
+def composer(coeffs, n: int):
+    """apply and adjoint of the compression M of C_phi to n terms, from one block.
+
+    apply(f) is the first n coefficients of f o phi, f of any length, by baby
+    and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): with
+    P = phi**0 .. phi**(p-1) and s = phi**p, f o phi = sum_q s**q (P f_q), f_q
+    the q-th slice of p coefficients of f, by Horner's rule with FFT products.
+    adjoint(x), x of length n, is M^H x by the same scheme transposed: slice q
+    is P^H (T_s^H)**q x, T_s^H the correlation with s.  Every step is a
+    contraction, so it is as accurate as M^H itself.
     """
     p = _baby_steps(n)
     block = power_columns(coeffs, n, p + 1)
     baby = block[:, :p]
     size = _fft_length(2 * n - 1)  # a cyclic product of this length is exact below n
     giant = np.fft.fft(block[:, p], size)
-    spectrum = None if weight is None else np.fft.fft(weight, size)
+    cogiant = giant.conj()
 
     def apply(f) -> np.ndarray:
         f = np.asarray(f, dtype=np.complex128)
@@ -159,11 +162,20 @@ def composer(coeffs, n: int, weight=None):
                 if lo + q < last:
                     acc = np.fft.ifft(np.fft.fft(acc, size) * giant)[:n]
                 acc += partial[:, q]
-        if spectrum is not None:
-            acc = np.fft.ifft(np.fft.fft(acc, size) * spectrum)[:n]
         return acc
 
-    return apply
+    def adjoint(z) -> np.ndarray:
+        out = np.empty((-(-n // p), p), dtype=np.complex128)
+        run = np.empty((p, n), dtype=np.complex128)  # conj of p steps, for one product
+        for q in range(len(out)):
+            if q:
+                z = np.fft.ifft(np.fft.fft(z, size) * cogiant)[:n]
+            run[q % p] = z.conj()
+            if q % p == p - 1 or q == len(out) - 1:
+                out[q - q % p : q + 1] = (run[: q % p + 1] @ baby).conj()
+        return out.reshape(-1)[:n]
+
+    return apply, adjoint
 
 
 def _geometric(t: complex, n: int) -> np.ndarray:

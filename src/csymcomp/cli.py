@@ -336,7 +336,6 @@ def cmd_verify(args) -> int:
                 checks.extend(_suite_identities(a, n, elliptic3))
             if order3:
                 checks.extend(_suite_order3(witness, elliptic3))
-            witness = elliptic3 = None  # free the blocks before the later suites build theirs
         if args.suite in ("all", "schroeder"):
             checks.extend(_suite_schroeder(b, c, n))
         if args.suite == "final" or (args.suite == "all" and a != 0):

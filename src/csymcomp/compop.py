@@ -10,7 +10,6 @@ e_k = K_a phi_a^k family serve as residual oracles for the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +35,8 @@ from .mobius import (
 class CompositionOperator:
     """The compression M of C_phi to truncation N, applied without forming M.
 
-    ``apply(f)`` is the first N coefficients of f o phi, f of any length.
-    ``apply_adjoint`` is M^H by Cowen's formula (Integral Equations Operator
-    Theory 11, 1988): for phi = (Az + B)/(Cz + D), C_phi^* = T_g C_sigma T_h^*
-    with g = 1/(conj(D) - conj(B) z), sigma = (conj(A) z - conj(C)) g and
-    h = Cz + D.  It is exact below degree N: T_h^* keeps the degree, and T_g
-    is lower triangular.
+    ``apply(f)`` is the first N coefficients of f o phi, f of any length;
+    ``apply_adjoint(f)`` is M^H applied to the first N coefficients of f.
     """
 
     def __init__(self, phi: MobiusMap, n: int):
@@ -49,24 +44,13 @@ class CompositionOperator:
             raise NotSelfMapError("composition symbol must map the disk into itself")
         self.phi = phi
         self.truncation = n
-
-    @cached_property
-    def _forward(self):
-        return backend.composer(self.phi.coefficients, self.truncation)
-
-    @cached_property
-    def _adjoint(self):
-        a, b, c, d = (complex(x).conjugate() for x in self.phi.coefficients)
-        g = (b / d) ** np.arange(self.truncation) / d
-        return backend.composer((a, -c, -b, d), self.truncation, g)
+        self._apply, self._adjoint = backend.composer(phi.coefficients, n)
 
     def apply(self, f: H2Series) -> H2Series:
-        return H2Series(self._forward(f.coeffs))
+        return H2Series(self._apply(f.coeffs))
 
     def apply_adjoint(self, f: H2Series) -> H2Series:
-        x = f.extended(self.truncation).coeffs
-        c, d = (complex(v).conjugate() for v in self.phi.coefficients[2:])
-        return H2Series(self._adjoint(d * x + c * np.append(x[1:], 0)))  # of T_h^* x
+        return H2Series(self._adjoint(f.extended(self.truncation).coeffs))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,33 @@ def test_verify_order3_passes_at_0_98(capsys):
     assert (code, err) == (0, "")
     checks = json.loads(out)["checks"]
     assert {ch["truncation"] for ch in checks} == {order3_truncation(0.98)} == {12422}
+    assert all(ch["pass"] for ch in checks)
+
+
+@pytest.mark.parametrize(
+    "suite,a",
+    [(s, a) for s in ("order3", "identities", "all") for a in ("0.9923", "0.999", "0.999999")]
+    + [("order3", "0.9999999999999999")],
+)
+def test_verify_rejects_centres_beyond_the_truncation_limit(capsys, suite, a):
+    # the order-3 truncation grows like 250/(1 - |a|); past its limit the
+    # run stops at once with one error line, before any block is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--json", "--suite", suite, "--a", a)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"above {paperchecks.MAX_ORDER3_TRUNCATION}" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_verify_identities_passes_at_0_99(capsys):
+    # the second derivative kernel at |a| = 0.99 has norm about 9e4, so the
+    # adjoint must keep the rounding level of M^H: 7.7e-8 against a tolerance of 1e-7
+    code, out, err = run(capsys, "verify", "--json", "--suite", "identities", "--a", "0.99")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    (star3,) = [ch for ch in checks if ch["name"] == "adjoint_star3[elliptic3]"]
+    assert star3["truncation"] == 25329
     assert all(ch["pass"] for ch in checks)
 
 

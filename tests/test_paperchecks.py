@@ -4,6 +4,7 @@ import cmath
 
 import pytest
 
+from csymcomp import paperchecks
 from csymcomp.compop import CompositionOperator
 from csymcomp.errors import DomainError
 from csymcomp.hardy import evaluate
@@ -200,6 +201,17 @@ def test_order3_truncation_values(r, want):
     assert order3_truncation(r * cmath.exp(2.1j)) == want
     assert order3_truncation(r, 32) == want
     assert order3_truncation(r, 7000) == max(7000, want)
+
+
+def test_order3_truncation_stops_at_its_limit():
+    # the witness costs O(N^2) time; |a| = 0.999999 would need N = 2.6e8
+    limit = paperchecks.MAX_ORDER3_TRUNCATION
+    assert order3_truncation(0.9922) <= limit == order3_truncation(0.5, limit)
+    for a in (0.9923, 0.999, 0.999999, 0.9999999999999999, 0.9999999999999999j):
+        with pytest.raises(DomainError, match=f"above {limit}"):
+            order3_truncation(a)
+    with pytest.raises(DomainError, match=f"above {limit}"):
+        order3_truncation(0.5, limit + 1)
 
 
 @pytest.mark.parametrize("a", [0, 1, -1j, 1.5, 0.6 + 0.8j])
