@@ -72,19 +72,25 @@ def parse_complex(text: str) -> complex:
 def _pair_to_complex(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    if pair and all(isinstance(v, (int, float)) for v in value):
         return complex(float(value[0]), float(value[1]))
     raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
 
 
 def symbol_from_spec(spec: dict) -> MobiusMap:
     """Resolve a SymbolSpec: raw coefficients or a named family."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a symbol is a JSON object, got {spec!r}")
     if "family" in spec:
         family = spec["family"]
         params = {k: v for k, v in spec.items() if k not in ("family", "expected_cs", "name")}
         if family == "rotation":
             if "theta" in params:
-                omega = np.exp(1j * float(params["theta"]))
+                theta = _pair_to_complex(params["theta"])
+                if theta.imag or not np.isfinite(theta.real):
+                    raise ValueError(f"theta must be a finite real number, got {params['theta']!r}")
+                omega = np.exp(1j * theta.real)
             else:
                 omega = _pair_to_complex(params["omega"])
             return rotation(omega)
@@ -264,9 +270,8 @@ def _suite_identities(a: complex, n: int, elliptic3: CompositionOperator) -> lis
 
 
 def _suite_order3(w, elliptic3: CompositionOperator) -> list[dict]:
-    # one witness serves the claims and the gap checks; the e_1 series has
-    # the same tail length as the witness, so e1_norm runs at its truncation
-    a, nw = w.a, w.truncation
+    # one witness serves the claims, the gap checks and e1_norm
+    nw = w.truncation
     orth1, eig1 = check_claim1_structure(w, elliptic3)
     c2 = check_claim2_norm(w)
     c4 = check_claim4(w, elliptic3)
@@ -290,7 +295,7 @@ def _suite_order3(w, elliptic3: CompositionOperator) -> list[dict]:
             gap.truncation,
             gap=gap.gap,
         ),
-        _check("e1_norm", check_e1_norm(a, nw), TOL_MATRIX, nw),
+        _check("e1_norm", check_e1_norm(w), TOL_MATRIX, nw),
     ]
 
 

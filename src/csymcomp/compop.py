@@ -15,13 +15,7 @@ import numpy as np
 
 from . import backend
 from .errors import ConvergenceError, NotSelfMapError
-from .hardy import (
-    H2Series,
-    KernelSpec,
-    kernel,
-    multiply,
-    reproducing_kernel,
-)
+from .hardy import H2Series, KernelSpec, kernel
 from .mobius import (
     MobiusMap,
     derivative_at,
@@ -90,14 +84,6 @@ def involution_powers(a: complex, exponents, n: int) -> list[H2Series]:
     return [H2Series(cols[:, e]) for e in exponents]
 
 
-def e_function(a: complex, k: int, n: int) -> H2Series:
-    """e_k = K_a * phi_a^k; pairwise orthogonal with squared norm 1/(1-|a|^2)."""
-    out = reproducing_kernel(a, n)
-    if k:
-        out = multiply(out, involution_powers(a, [k], n)[0])
-    return out
-
-
 def adjoint_kernel_checks(phi: MobiusMap, t: CompositionOperator):
     """Residuals of the three adjoint identities at the interior fixed point.
 
@@ -125,14 +111,15 @@ def lemma_star_s_check(a: complex, n: int) -> list[float]:
     Checks C*1 = K_a and C*z^(k+1) = e_(k+1) - a e_k for k < 6, with C the
     adjoint of the composition by phi_a, an automorphism for |a| < 1.
     C*z^j is the conjugate of row j of the matrix of C, so only rows 0..6
-    are built.
+    are built.  e_k = K_a phi_a^k is (phi_a^k - conj(a) phi_a^(k+1))/(1-|a|^2),
+    since K_a = (1 - conj(a) phi_a)/(1-|a|^2).
     """
     a = complex(a)
     k_max = 6
     rows = backend.power_columns(involution(a).coefficients, k_max + 1, n).conj()
     rows[n:] = 0.0  # z^j with j >= n is zero at truncation n
-    k_a = reproducing_kernel(a, n)
-    e = [multiply(k_a, p) for p in involution_powers(a, range(k_max + 1), n)]
+    p = involution_powers(a, range(k_max + 2), n)
+    e = [(p[k] - a.conjugate() * p[k + 1]) * (1 / (1 - abs(a) ** 2)) for k in range(k_max + 1)]
     out = [(H2Series(rows[0]) - e[0]).norm()]
     for k in range(k_max):
         out.append((H2Series(rows[k + 1]) - (e[k + 1] - a * e[k])).norm())

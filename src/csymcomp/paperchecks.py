@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .compop import CompositionOperator, e_function
+from .compop import CompositionOperator, involution_powers
 from .errors import DomainError
 from .hardy import (
     H2Series,
     constant,
     inner_product,
+    monomial,
     multiply,
     reciprocal,
     reproducing_kernel,
@@ -37,13 +38,13 @@ OMEGA3 = np.exp(2j * np.pi / 3)
 #: Size of the phi_a families the order-3 claims check.
 _K_MAX = 6
 
-#: Number of delta-law terms in ``check_claim4``.  |rho| = |a|/(1+|a|^2)
-#: is at most 1/2 at every centre, so the first term left out, of size
-#: |rho|^60 <= 2^-60, is below 1e-18.
+#: Terms in w^3 of the series F with h = F(phi_a) for each witness function.  |rho| =
+#: |a|/(1+|a|^2) <= 1/2 at every centre, so the first coefficient left out, at most
+#: (K+1)|rho|^K + K|a|^3|rho|^(K-1) for the double pole of f, is below 1.6e-16.
 _DELTA_TERMS = 60
 
-#: Largest truncation of the order-3 checks, reached at |a| = 0.99224.  The witness
-#: takes O(N^2) time: ``verify --suite order3`` takes 7 s and 155 MB at N = 31 785.
+#: Largest truncation of the order-3 checks, reached at |a| = 0.99224.  ``verify --suite order3``
+#: takes 4.3 s and 176 MB at N = 31 785, where ``--suite all`` fails the absolute ``TOL_MATRIX``.
 MAX_ORDER3_TRUNCATION = 32768
 
 _CENTER_ERROR = "witness requires a in the open disk, a != 0"
@@ -108,6 +109,8 @@ def check_lemma_tz(b: complex, c: complex, n: int = DEFAULT_TRUNCATION):
 class Order3Witness:
     """Closed-form functions entering the order-3 contradiction argument.
 
+    ``delta_law`` is lead * sum_k delta_k phi_a^(3k+1) from the closed-form
+    delta_k, and ``e1_diff`` is e_1 - conj(a) e_0 for e_k = K_a phi_a^k.
     ``phi_a_powers`` holds phi_a**j in column j for j <= 3 ``_K_MAX`` + 2,
     every power the claims read; the operator of the elliptic symbol is the
     caller's.
@@ -121,6 +124,8 @@ class Order3Witness:
     h1: H2Series
     g: H2Series
     f: H2Series
+    delta_law: H2Series
+    e1_diff: H2Series
     truncation: int
     phi_a_powers: np.ndarray
 
@@ -137,9 +142,10 @@ class Order3Witness:
 def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     """Assemble h0, h1, g, f for the elliptic symbol of order 3 centered at a.
 
-    The proof pins only |c0| = 1/(1-|a|^4), and every residual is invariant
-    under its phase, so c0 is taken real.  The truncation defaults to
-    ``order3_truncation(a)``.
+    Each is F(phi_a) for a series F in w^3 of ratio rho, built to 3 ``_DELTA_TERMS``
+    terms and composed with phi_a by one operator.  The proof pins only
+    |c0| = 1/(1-|a|^4), and every residual is invariant under its phase, so c0
+    is taken real.  The truncation defaults to ``order3_truncation(a)``.
     """
     a = complex(a)
     r = abs(a)
@@ -152,19 +158,26 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     rho_tilde = -(ab**2 / a) * (1 - r**6) / (1 - r**4)
     c0 = 1 / (1 - r**4)
 
-    powers = backend.power_columns(involution(a).coefficients, n, 3 * _K_MAX + 3)
-    phi_a, u = H2Series(powers[:, 1]), H2Series(powers[:, 3])
-    one = constant(1.0, n)
-    num = one - ab**3 * u  # 1 - conj(a)^3 phi_a^3
+    m = 3 * _DELTA_TERMS
+    one, u = constant(1.0, m), monomial(3, m)  # u stands for phi_a^3
+    num = one - ab**3 * u
     rec = reciprocal(one - rho * u)
     num_rec2 = multiply(num, multiply(rec, rec))
-
     h0 = c0 * multiply(num, rec)
     lead = -c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    h1 = lead * multiply(phi_a, num_rec2) + ab * h0
+    h1 = lead * _shift_up(num_rec2) + ab * h0
     g = multiply(rho.conjugate() * one - u, rec)
     f = ((1 - r**6) / (1 - r**4)) * num_rec2
-    return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, n, powers)
+    deltas = np.zeros(m, dtype=np.complex128)
+    deltas[1] = 1.0
+    deltas[4::3] = [rho**k + k * rho_tilde * rho ** (k - 1) for k in range(1, _DELTA_TERMS)]
+    # K_a = (1 - conj(a) phi_a)/(1 - |a|^2), so e_1 - conj(a) e_0 = K_a (phi_a - conj(a))
+    e1_diff = H2Series([-ab, 1 + ab**2, -ab]) * (1 / (1 - r**2))
+
+    phi_a = CompositionOperator(involution(a), n)
+    h0, h1, g, f, law, e1_diff = (phi_a.apply(s) for s in (h0, h1, g, f, lead * H2Series(deltas), e1_diff))
+    powers = backend.power_columns(involution(a).coefficients, n, 3 * _K_MAX + 3)
+    return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, law, e1_diff, n, powers)
 
 
 def _check_operator(w: Order3Witness, t: CompositionOperator) -> None:
@@ -230,23 +243,14 @@ def check_claim4(w: Order3Witness, t: CompositionOperator):
     delta_k = rho^k + k rho_tilde rho^(k-1).
     """
     _check_operator(w, t)
-    a, r = w.a, abs(w.a)
-    ab = a.conjugate()
+    ab = w.a.conjugate()
     fam = w.phi_a_family(3 * k for k in range(_K_MAX + 1))
     orth = [abs(inner_product(w.h1, v)) for v in fam]
 
     diff = w.h1 - ab * w.h0
     eig = (t.apply(diff) - OMEGA3 * diff).norm()
-
-    # delta law: h1 - conj(a) h0 = lead * sum_k delta_k phi_a^(3k+1), which
-    # is C_(phi_a) applied to the polynomial sum_k delta_k z^(3k+1)
-    lead = -w.c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    poly = np.zeros(3 * _DELTA_TERMS - 1, dtype=np.complex128)
-    poly[1] = 1.0
-    poly[4::3] = [w.rho**k + k * w.rho_tilde * w.rho ** (k - 1) for k in range(1, _DELTA_TERMS)]
-    law = CompositionOperator(involution(a), w.truncation).apply(H2Series(poly))
-    delta_residual = (diff - lead * law).norm()
-    return {"orthogonality": orth, "eigen": eig, "delta_law": delta_residual}
+    # delta law: h1 - conj(a) h0 = lead * sum_k delta_k phi_a^(3k+1)
+    return {"orthogonality": orth, "eigen": eig, "delta_law": (diff - w.delta_law).norm()}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +319,7 @@ def gap_report(w: Order3Witness) -> GapReport:
 
     # cross-check through the inner-function decomposition f = b1 g^2 + b2 g + b3
     ab = a.conjugate()
-    b1 = (ab**4 / a**2) * (1 + r**2)
+    b1 = (ab**2 / a) ** 2 * (1 + r**2)  # not ab^4/a^2, whose a^2 underflows
     b2 = (ab**2 / a) * (1 + r**2) * (2 + r**2)
     b3 = (1 + r**2) ** 2
     g0 = w.g0
@@ -342,12 +346,10 @@ def gap_report(w: Order3Witness) -> GapReport:
     )
 
 
-def check_e1_norm(a: complex, n: int = DEFAULT_TRUNCATION) -> float:
+def check_e1_norm(w: Order3Witness) -> float:
     """||e_1 - conj(a) e_0||^2 = (1+|a|^2)/(1-|a|^2) by series norm."""
-    a = complex(a)
-    r = abs(a)
-    diff = e_function(a, 1, n) - a.conjugate() * e_function(a, 0, n)
-    return abs(diff.norm_sq() - (1 + r**2) / (1 - r**2))
+    r = abs(w.a)
+    return abs(w.e1_diff.norm_sq() - (1 + r**2) / (1 - r**2))
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +389,11 @@ def check_theorem_final(
     wb = w0.conjugate()
 
     base_map = MobiusMap(-1, a, -w0, 1)  # (a - z)/(1 - w0 z)
-    h1 = series_of_mobius(base_map, n)
-    h2 = multiply(h1, h1)
+    h = backend.power_columns(base_map.coefficients, n, 3)  # h_j in column j
+    h1, h2 = H2Series(h[:, 1]), H2Series(h[:, 2])
 
     kw = reproducing_kernel(wb, n)
-    phi_w = series_of_mobius(involution(wb), n)
+    phi_w, phi_w2 = involution_powers(wb, (1, 2), n)
 
     res: dict[str, float] = {}
     res["h1_decomposition"] = (h1 - (phi_w + (a - wb) * kw)).norm()
@@ -402,7 +404,8 @@ def check_theorem_final(
     denom = 1 - abs(w0) ** 2
     gamma1 = -(1 - a * w0) * (a - wb) / denom
     gamma2 = -((1 - a * w0) ** 2) / denom
-    kw_phi_w = multiply(kw, phi_w)
+    # K_wb = (1 - w0 phi_w)/(1 - |w0|^2)
+    kw_phi_w = (phi_w - w0 * phi_w2) * (1 / denom)
     h_tilde = gamma1 * kw + gamma2 * kw_phi_w
     diff = h2 - a * h1
     res["h2_decomposition"] = (diff - _shift_up(h_tilde)).norm()

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from csymcomp import __version__, backend, compop, conjfinder, hardy, paperchecks
+from csymcomp import __version__, backend, compop, conjfinder, hardy, mobius, paperchecks
 from csymcomp.cli import _worst_stop, main, parse_complex, symbol_from_spec, to_jsonable
 from csymcomp.conjfinder import ResidualReport, RestartStop
 from csymcomp.mobius import SymbolKind, classify
@@ -37,6 +37,9 @@ def test_symbol_from_spec_families():
     assert classify(m).kind is SymbolKind.ELLIPTIC_AUT
     m = symbol_from_spec({"a": [0.5, 0], "b": [0.25, 0], "c": [0, 0], "d": [1, 0]})
     assert m.b == pytest.approx(0.25)
+    # sweep hands each grid value over as [value, 0.0]
+    pair = symbol_from_spec({"family": "rotation", "theta": [1.0, 0.0]})
+    assert pair.coefficients == symbol_from_spec({"family": "rotation", "theta": 1.0}).coefficients
 
 
 def test_symbol_from_spec_unknown_family():
@@ -114,6 +117,27 @@ def test_classify_malformed_symbol_exits_1(capsys):
     code, _, err = run(capsys, "classify", "--symbol", "not json")
     assert code == 1
     assert "invalid symbol" in err
+
+
+@pytest.mark.parametrize(
+    "command,symbol",
+    [
+        ("classify", "[1,2]"),
+        ("classify", "3"),
+        ("classify", '{"family":"rotation","theta":null}'),
+        ("classify", '{"family":"rotation","theta":[1,2]}'),
+        ("classify", '{"family":"rotation","theta":Infinity}'),
+        ("classify", '{"family":"involution","a":[null,0]}'),
+        ("residual", "[0.5]"),
+    ],
+    ids=["list", "number", "theta_null", "theta_complex", "theta_inf", "pair_null", "residual_list"],
+)
+def test_symbol_of_the_wrong_shape_exits_1(capsys, command, symbol):
+    code, out, err = run(capsys, command, "--symbol", symbol)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: invalid symbol") and err.count("\n") == 1
 
 
 def test_classify_text_output(capsys):
@@ -323,12 +347,15 @@ def test_verify_reads_a_complex_value_with_a_leading_minus(capsys):
 @pytest.mark.parametrize("a", ["0.5", "0.8"])
 def test_verify_builds_each_block_once(capsys, monkeypatch, a):
     # the suites apply every composition operator without forming its matrix:
-    # no operator matrix and no square block of powers, few truncated
-    # products, and one order-3 witness for the claims and the gap checks
-    # together; `identities` builds no witness
-    matrices, squares, products, witnesses = [], [], [], []
+    # no operator matrix and no square block of powers, and one order-3
+    # witness for the claims and the gap checks together, which holds the
+    # only composition by phi_a; `identities` builds no witness.  Products
+    # and reciprocals run on the witness's short series in w, never at N
+    matrices, squares, products, witnesses, phi_a_ops = [], [], [], [], []
     matrix_of_composition, power_columns = compop.matrix_of_composition, backend.power_columns
-    multiply, build_order3_witness = hardy.multiply, paperchecks.build_order3_witness
+    multiply, reciprocal = hardy.multiply, hardy.reciprocal
+    composer, build_order3_witness = backend.composer, paperchecks.build_order3_witness
+    phi_a = mobius.involution(complex(a)).coefficients
 
     def counted_matrix(phi, n):
         matrices.append(n)
@@ -340,8 +367,17 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
         return power_columns(coeffs, n, k)
 
     def counted_multiply(f, g):
-        products.append(1)
+        products.append(max(f.truncation, g.truncation))
         return multiply(f, g)
+
+    def counted_reciprocal(f):
+        products.append(f.truncation)
+        return reciprocal(f)
+
+    def counted_composer(coeffs, n):
+        if tuple(coeffs) == phi_a:
+            phi_a_ops.append(n)
+        return composer(coeffs, n)
 
     def counted_witness(*args, **kwargs):
         witnesses.append(1)
@@ -354,19 +390,23 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
             ("matrix_of_composition", matrix_of_composition, counted_matrix),
             ("power_columns", power_columns, counted_power_columns),
             ("multiply", multiply, counted_multiply),
+            ("reciprocal", reciprocal, counted_reciprocal),
+            ("composer", composer, counted_composer),
             ("build_order3_witness", build_order3_witness, counted_witness),
         ):
             if getattr(module, attr, None) is orig:
                 monkeypatch.setattr(module, attr, new)
-    for suite, want_witnesses in (("all", 1), ("identities", 0)):
-        for seen in (matrices, squares, products, witnesses):
+    for suite, want_witnesses in (("all", 1), ("order3", 1), ("identities", 0)):
+        for seen in (matrices, squares, products, witnesses, phi_a_ops):
             seen.clear()
         code, _, _ = run(capsys, "verify", "--json", "--suite", suite, "--a", a, "--truncation", "512")
         assert code == 0
         assert matrices == [], f"{suite}: matrices {matrices}"
         assert squares == [], f"{suite}: square blocks {squares}"
         assert len(products) <= 30, f"{suite}: {len(products)} products"
+        assert max(products, default=0) <= 3 * paperchecks._DELTA_TERMS, f"{suite}: product lengths {products}"
         assert len(witnesses) == want_witnesses, f"{suite}: {len(witnesses)} witness builds"
+        assert len(phi_a_ops) == want_witnesses, f"{suite}: phi_a composers {phi_a_ops}"
 
 
 # -- residual -----------------------------------------------------------------------
@@ -483,6 +523,16 @@ def test_sweep_residual_skips_non_selfmaps(capsys, tmp_path):
         assert stop in ("tol", "grad") and float(grad_norm) >= 0
 
 
+def test_sweep_over_rotation_angles(capsys, tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--family", "rotation", "--grid", "theta=0:3:4", "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert out == "wrote 4 rows to " + str(out_file) + "\n"
+    lines = out_file.read_text().strip().splitlines()
+    assert lines[0].startswith("family,theta,class,is_cs")
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["0.0", "1.0", "2.0", "3.0"]
+
+
 def test_sweep_bad_grid_exits_1(capsys, tmp_path):
     code, _, err = run(
         capsys, "sweep", "--family", "involution", "--grid", "a=bad", "--out", str(tmp_path / "x.csv")
@@ -529,6 +579,19 @@ def test_corpus_malformed_line_exit_1(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "--json", "--in", str(f))
     assert code == 1
     assert json.loads(out)["malformed"] == 1
+
+
+@pytest.mark.parametrize("line", ["[1,2]", '"x"', "3", "null"])
+def test_corpus_counts_a_non_object_line_as_malformed(capsys, tmp_path, line):
+    f = tmp_path / "mixed.jsonl"
+    f.write_text(line + '\n{"name":"ok","family":"rotation","theta":1.0,"expected_cs":true}\n')
+    code, out, err = run(capsys, "corpus", "--json", "--in", str(f))
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert (data["symbols"], data["malformed"], data["mismatches"]) == (2, 1, 0)
+    bad, good = data["results"]
+    assert bad["line"] == 1 and bad["error"].startswith("malformed: ")
+    assert good == {"line": 2, "name": "ok", "is_cs": True, "expected_cs": True, "match": True}
 
 
 # -- bad input: exit 1 with a one-line message ----------------------------------------

@@ -11,7 +11,6 @@ from csymcomp.backend import power_columns
 from csymcomp.compop import (
     CompositionOperator,
     adjoint_kernel_checks,
-    e_function,
     eigen_decompose,
     involution_powers,
     lemma_star_s_check,
@@ -204,7 +203,7 @@ def test_e_function_norms_and_orthogonality():
     # <e_j, e_0> = (K_a phi_a^j)(a) = 0 for j >= 1 since phi_a(a) = 0
     a = 0.5
     n = 1024
-    e = [e_function(a, k, n) for k in range(4)]
+    e = [multiply(reproducing_kernel(a, n), p) for p in involution_powers(a, range(4), n)]
     for k in range(4):
         assert e[k].norm_sq() == pytest.approx(1 / (1 - abs(a) ** 2), abs=1e-10)
     for j in range(1, 4):

@@ -1,14 +1,17 @@
 """Numerical verification of the operator identities behind the classification."""
 
 import cmath
+import math
 
 import pytest
 
 from csymcomp import paperchecks
+from csymcomp.backend import power_columns
+from csymcomp.cli import TOL_SERIES
 from csymcomp.compop import CompositionOperator
 from csymcomp.errors import DomainError
-from csymcomp.hardy import evaluate
-from csymcomp.mobius import elliptic
+from csymcomp.hardy import H2Series, constant, evaluate, multiply, reciprocal
+from csymcomp.mobius import elliptic, involution
 from csymcomp.paperchecks import (
     _DELTA_TERMS,
     OMEGA3,
@@ -145,7 +148,35 @@ def test_delta_terms_cover_every_center(r, phase):
     assert abs(w.rho) == pytest.approx(r / (1 + r * r), rel=1e-12)
     assert abs(w.rho) <= 0.5
     assert abs(w.rho) ** _DELTA_TERMS < 1e-18
+    # the first coefficient the witness's series in w leave out, that of
+    # w^(3K) in the double-pole series (1 - conj(a)^3 w^3)/(1 - rho w^3)^2
+    k, rho = _DELTA_TERMS, abs(w.rho)
+    assert (k + 1) * rho**k + k * r**3 * rho ** (k - 1) < 1e-15
+    assert (w.h1 - w.a.conjugate() * w.h0 - w.delta_law).norm() < TOL
     assert w.phi_a_powers.shape == (64, 21)  # phi_a**j for j <= 3 * 6 + 2
+
+
+@pytest.mark.parametrize("a", [0.5, 0.6 + 0.5j, 0.95])
+def test_witness_matches_products_at_full_truncation(a):
+    # oracle: the same algebra on N-term series in z, with u = phi_a^3
+    w = build_order3_witness(a)
+    n, r, ab = w.truncation, abs(a), complex(a).conjugate()
+    powers = power_columns(involution(a).coefficients, n, 4)
+    phi_a, u = H2Series(powers[:, 1]), H2Series(powers[:, 3])
+    one = constant(1.0, n)
+    num = one - ab**3 * u
+    rec = reciprocal(one - w.rho * u)
+    num_rec2 = multiply(num, multiply(rec, rec))
+    h0 = w.c0 * multiply(num, rec)
+    lead = -w.c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
+    want = {
+        "h0": h0,
+        "h1": lead * multiply(phi_a, num_rec2) + ab * h0,
+        "g": multiply(w.rho.conjugate() * one - u, rec),
+        "f": ((1 - r**6) / (1 - r**4)) * num_rec2,
+    }
+    for name, ref in want.items():
+        assert (getattr(w, name) - ref).norm() <= 1e-13 * ref.norm(), name
 
 
 def test_witness_rejects_center_outside_disk():
@@ -166,6 +197,12 @@ def test_gap_closed_form_at_half():
     assert rep.residual < 1e-8
     assert rep.beta_residual < 1e-10
     assert rep.gap > 0
+
+
+def test_gap_report_near_zero_centre():
+    # a^2 underflows to 0 below |a| ~ 1.5e-154, so b1 must not divide by it
+    rep = gap_report(build_order3_witness(1e-300))
+    assert math.isfinite(rep.beta_residual) and rep.beta_residual <= TOL_SERIES
 
 
 def test_gap_report_reads_a_given_witness():
@@ -222,7 +259,7 @@ def test_order3_truncation_rejects_bad_centers(a):
 
 def test_e1_norm_identity():
     for a in (0.3, 0.5, 0.5 + 0.2j):
-        assert check_e1_norm(a) < 1e-10
+        assert check_e1_norm(build_order3_witness(a)) < 1e-10
 
 
 # -- final theorem: membership of the adjoint images ------------------------------
