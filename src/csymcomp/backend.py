@@ -8,11 +8,11 @@ comparing the coefficients of z**m gives the three-term recurrence
     M[m, k+1] = (b M[m, k] + a M[m-1, k] - c M[m-1, k+1]) / d,
 
 whose coefficients do not depend on (m, k).  Swept one antidiagonal at a
-time it takes n + k - 2 sequential steps.  A thin block is instead
-grown by doubling along its long side: column j + 1 is phi times column j,
-and row m + 1 is psi times row m for m >= 1, where psi(w) = (aw - c)/(d - bw)
-is the adjoint symbol (Cowen, Integral Equations Operator Theory 11, 1988),
-which maps the disk into itself whenever phi does.
+time it takes n + k - 2 sequential steps.  A block that is not square is
+instead grown by doubling along its long side: column j + 1 is phi times
+column j, and row m + 1 is psi times row m for m >= 1, where
+psi(w) = (aw - c)/(d - bw) is the adjoint symbol (Cowen, Integral Equations
+Operator Theory 11, 1988), which maps the disk into itself whenever phi does.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import ExpansionDomainError
+from .mobius import pole_outside_closed_disk
 
 
 def backend_name() -> str:
@@ -57,74 +58,59 @@ def reciprocal(f, n: int) -> np.ndarray:
     return g
 
 
-# A block takes the doubling path when its short side is at most
-# ``_DOUBLING_MAX_SIDE`` and its long side is at least ``_DOUBLING_ASPECT``
-# times longer.  Doubling costs about long * short**2 multiply-adds in a few
-# matrix products; the sweep costs about 8 us of numpy overhead per
-# antidiagonal.  Measured with one OpenBLAS thread, doubling wins at every
-# such shape from 64 x 16 to 6144 x 64 (by 1.6x at 256 x 64, 36x at 512 x 2),
-# and loses once the short side passes about 100 (512 x 128, 512 x 178).
-# Square blocks never qualify, so every operator matrix comes from the sweep.
-_DOUBLING_MAX_SIDE = 64
-_DOUBLING_ASPECT = 4
-
-
 def power_columns(coeffs, n: int, k: int) -> np.ndarray:
     """n x k matrix whose column j holds the first n coefficients of phi**j.
 
     ``coeffs`` is (a, b, c, d) for phi = (az + b)/(cz + d), whose pole must
-    lie outside the closed unit disk.  Thin blocks (see
-    ``_DOUBLING_MAX_SIDE``) are grown by doubling; all others, squares
-    included, by the antidiagonal sweep of the recurrence.  Either way entry
-    (m, j) does not depend on n or k, bit for bit.
+    lie outside the closed unit disk (``mobius.pole_outside_closed_disk``).
+    A square block is swept by the recurrence and a block with k > n doubles
+    along its columns; on both, entry (m, j) does not depend on n or k, bit
+    for bit.  A block with k < n doubles along its rows, where entry (m, j)
+    moves with n and k at rounding level.
     """
     a, b, c, d = (complex(x) for x in coeffs)
-    if d == 0:
-        raise ExpansionDomainError("d = 0: the map has a pole at 0")
     if abs(c) <= 1e-15:
         c = 0j  # the affine case
-    elif abs(d / c) <= 1.0 + 1e-12:
-        raise ExpansionDomainError(f"pole {-d / c} lies in the closed unit disk")
+    if not pole_outside_closed_disk(c, d):
+        raise ExpansionDomainError(f"the pole of {coeffs} lies in the closed unit disk")
     if n == 0 or k == 0:
         return np.zeros((n, k), dtype=np.complex128)
-    short = min(n, k)
-    if short <= _DOUBLING_MAX_SIDE and _DOUBLING_ASPECT * short <= max(n, k):
-        if k < n:
-            return _rows_by_doubling(a, b, c, d, n, k)
+    if k < n:
+        return _rows_by_doubling(a, b, c, d, n, k)
+    if k > n:
         return _columns_by_doubling(a, b, c, d, n, k)
     # row 0 is a zero row standing for m = -1, and column 0 holds phi**0
     out = np.zeros((n + 1, k), dtype=np.complex128)
     out[1, 0] = 1.0
-    if k > 1:
-        _sweep(out, b / d, a / d, c / d)
+    _sweep(out, b / d, a / d, c / d)
     return out[1:]
 
 
 def _sweep(grid, bd, ad, cd):
-    """Fill ``grid[..., 1:, 1:]`` from its first row and column by the
-    recurrence, one antidiagonal at a time: entry (i, j) needs only
-    antidiagonals i + j - 1 and i + j - 2, and in the flattened C-ordered
-    last two axes an antidiagonal is one strided slice."""
-    rows, cols = grid.shape[-2:]
-    flat = grid.reshape(grid.shape[:-2] + (rows * cols,))
+    """Fill ``grid[1:, 1:]`` from its first row and column by the recurrence,
+    one antidiagonal at a time: entry (i, j) needs only antidiagonals i + j - 1
+    and i + j - 2, and in the flattened C-ordered block an antidiagonal is one
+    strided slice."""
+    rows, cols = grid.shape
+    flat = grid.reshape(-1)
     step = cols - 1
     for s in range(2, rows + cols - 1):
         # entries (i, s - i) with 1 <= i < rows and 1 <= s - i < cols
         lo, hi = max(1, s - cols + 1), min(rows - 1, s - 1)
         start = lo * cols + s - lo
         stop = start + (hi - lo) * step + 1
-        acc = bd * flat[..., start - 1 : stop - 1 : step]
-        acc += ad * flat[..., start - cols - 1 : stop - cols - 1 : step]
-        acc -= cd * flat[..., start - cols : stop - cols : step]
-        flat[..., start:stop:step] = acc
+        acc = bd * flat[start - 1 : stop - 1 : step]
+        acc += ad * flat[start - cols - 1 : stop - cols - 1 : step]
+        acc -= cd * flat[start - cols : stop - cols : step]
+        flat[start:stop:step] = acc
 
 
 def _baby_steps(n: int) -> int:
-    """Baby steps p of ``composer``: 2 sqrt(n), within the doubling path.  With
-    one OpenBLAS thread, a block, an apply and an adjoint of elliptic3 take
-    2.8 ms at n = 512 (p = 44; 3.2 ms at p = 63), and 95 ms and 0.66 s at
-    n = 4685 and 12 422 (p = 63; 145 ms and 1.19 s at p = 32)."""
-    return max(1, min(2 * math.isqrt(n), _DOUBLING_MAX_SIDE - 1, n // _DOUBLING_ASPECT - 1))
+    """Baby steps p of ``composer``: 2 sqrt(n), at most 63.  With one OpenBLAS
+    thread, a block, an apply and an adjoint of elliptic3 take 2.8 ms at
+    n = 512 (p = 44; 3.2 ms at p = 63), and 95 ms and 0.66 s at n = 4685 and
+    12 422 (p = 63; 145 ms and 1.19 s at p = 32)."""
+    return max(1, min(2 * math.isqrt(n), 63))
 
 
 def _fft_length(m: int) -> int:

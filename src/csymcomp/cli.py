@@ -10,6 +10,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -61,21 +62,23 @@ FAMILIES = ("rotation", "involution", "elliptic3", "dilate_translate", "bz_over_
 
 
 def parse_complex(text: str) -> complex:
-    """Accepts '0.5', '0.5+0.25j', or '0.5,0.25'."""
+    """Accepts '0.5', '0.5+0.25j', or '0.5,0.25'; rejects NaN and infinities."""
     text = text.strip()
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        return complex(float(re_part), float(im_part))
-    return complex(text.replace(" ", ""))
+    re_part, comma, im_part = text.partition(",")
+    z = complex(float(re_part), float(im_part)) if comma else complex(text.replace(" ", ""))
+    if not cmath.isfinite(z):
+        raise ValueError(f"{text!r} is not finite")
+    return z
 
 
 def _pair_to_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    pair = isinstance(value, (list, tuple)) and len(value) == 2
-    if pair and all(isinstance(v, (int, float)) for v in value):
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+    parts = [value, 0] if isinstance(value, (int, float)) else value
+    pair = isinstance(parts, (list, tuple)) and len(parts) == 2
+    if pair and all(isinstance(v, (int, float)) for v in parts):
+        z = complex(float(parts[0]), float(parts[1]))
+        if cmath.isfinite(z):
+            return z
+    raise ValueError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def symbol_from_spec(spec: dict) -> MobiusMap:
@@ -88,8 +91,8 @@ def symbol_from_spec(spec: dict) -> MobiusMap:
         if family == "rotation":
             if "theta" in params:
                 theta = _pair_to_complex(params["theta"])
-                if theta.imag or not np.isfinite(theta.real):
-                    raise ValueError(f"theta must be a finite real number, got {params['theta']!r}")
+                if theta.imag:
+                    raise ValueError(f"theta must be a real number, got {params['theta']!r}")
                 omega = np.exp(1j * theta.real)
             else:
                 omega = _pair_to_complex(params["omega"])
@@ -322,7 +325,7 @@ def cmd_verify(args) -> int:
         try:
             params[name] = parse_complex(getattr(args, name))
         except ValueError:
-            print(f"error: --{name} is not a complex number: {getattr(args, name)!r}", file=sys.stderr)
+            print(f"error: --{name} is not a finite complex number: {getattr(args, name)!r}", file=sys.stderr)
             return 1
     a, b, c = params["a"], params["b"], params["c"]
     checks: list[dict] = []
@@ -607,19 +610,16 @@ def _attach_complex_values(argv: list[str]) -> list[str]:
     """Join --a, --b or --c and a following value such as -0.6j into one token.
 
     argparse reads a token that starts with '-' as an option unless it looks
-    like a negative real number, so it would reject --a -0.6j.
+    like a negative real number, so it would reject --a -0.6j; a token that
+    starts with a single '-' is taken as the value, and ``parse_complex``
+    rejects one that is not a finite complex number.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--a", "--b", "--c") and arg.startswith("-"):
-            try:
-                parse_complex(arg)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + arg
-                continue
-        out.append(arg)
+        if out and out[-1] in ("--a", "--b", "--c") and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     return out
 
 

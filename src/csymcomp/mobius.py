@@ -25,6 +25,10 @@ DET_TOL = 1e-12
 #: Threshold for treating a normalized coefficient as exactly zero.
 COEF_EPS = 1e-13
 
+#: Relative margin by which the pole of a self-map clears the closed unit disk.
+POLE_MARGIN = 1e-12
+_POLE_RATIO_SQ = (1.0 + POLE_MARGIN) ** 2  # for the same test on squared moduli
+
 #: Upper bound for elliptic order detection; beyond this the order is infinite.
 ORDER_MAX = 64
 
@@ -150,8 +154,8 @@ class MobiusMap:
         object.__setattr__(self, "b", complex(self.b) / scale)
         object.__setattr__(self, "c", complex(self.c) / scale)
         object.__setattr__(self, "d", complex(self.d) / scale)
-        if abs(self.det) <= DET_TOL:
-            raise InvalidMapError(f"determinant {self.det} too close to zero")
+        if not abs(self.det) > DET_TOL:  # also a NaN that max() passed over
+            raise InvalidMapError(f"determinant {self.det} not finite or too close to zero")
 
     @property
     def det(self) -> complex:
@@ -280,22 +284,28 @@ def fixed_points(f: MobiusMap, tol: float = DEFAULT_TOL) -> FixedPointData:
     return FixedPointData.distinct(SpherePoint(r1), SpherePoint(r2))
 
 
+def pole_outside_closed_disk(c: complex, d: complex) -> bool:
+    """True iff the pole -d/c of (az + b)/(cz + d) clears the closed unit disk
+    by the relative margin ``POLE_MARGIN``: |d| > (1 + POLE_MARGIN) |c|."""
+    return abs(d) > (1.0 + POLE_MARGIN) * abs(c)
+
+
 def _image_disk(f: MobiusMap):
     """Image of the unit disk in closed form (Cowen 1988), or None if it is unbounded.
 
-    For |c| < |d| the pole lies outside the closed disk and f(D) is the disk
+    When ``pole_outside_closed_disk(c, d)`` holds, f(D) is the disk
     with center (b conj(d) - a conj(c))/g and radius |ad - bc|/g, where
     g = |d|^2 - |c|^2.  Returns ``(g |center|, g radius, g, |c|^2 + |d|^2)``.
     The predicates compare |center| + radius with 1 multiplied through by g,
     which is small when the pole nears the circle, so none divides by it;
     their tolerance is relative to |c|^2 + |d|^2.  The reciprocal of
-    g radius is the conditioning kappa (``MobiusMap.conditioning``).  For
-    |c| >= |d| the pole lies in the closed disk and None is returned.
+    g radius is the conditioning kappa (``MobiusMap.conditioning``).  Otherwise
+    None is returned, by the same test on the squared moduli.
     """
     a, b, c, d = f.a, f.b, f.c, f.d
     cc = c.real * c.real + c.imag * c.imag
     dd = d.real * d.real + d.imag * d.imag
-    if cc >= dd:
+    if dd <= _POLE_RATIO_SQ * cc:
         return None
     return abs(b * d.conjugate() - a * c.conjugate()), abs(f.det), dd - cc, cc + dd
 

@@ -87,16 +87,20 @@ def test_classify_non_cs_symbol(capsys):
     assert json.loads(out)["verdict"]["is_cs"] is False
 
 
+# 2z, and a map whose pole lies within 1e-12 of -1: it sends -1 + 1e-12 to -8.64
+NOT_SELF_MAPS = [
+    '{"a":[2,0],"b":[0,0],"c":[0,0],"d":[1,0]}',
+    '{"a":0.5,"b":0.49999999999,"c":1,"d":1.0000000000001}',
+]
+
+
 def test_classify_not_selfmap_exits_2(capsys):
-    code, out, _ = run(
-        capsys,
-        "classify",
-        "--json",
-        "--symbol",
-        '{"a":[2,0],"b":[0,0],"c":[0,0],"d":[1,0]}',
-    )
-    assert code == 2
-    assert json.loads(out)["error"] == "not a self-map of the unit disk"
+    for symbol in NOT_SELF_MAPS:
+        code, out, _ = run(capsys, "classify", "--json", "--symbol", symbol)
+        assert code == 2, symbol
+        data = json.loads(out)
+        assert data["error"] == "not a self-map of the unit disk"
+        assert data["class"] == {"kind": "not_self_map"}
 
 
 def test_classify_near_circle_elliptic3(capsys):
@@ -128,9 +132,12 @@ def test_classify_malformed_symbol_exits_1(capsys):
         ("classify", '{"family":"rotation","theta":[1,2]}'),
         ("classify", '{"family":"rotation","theta":Infinity}'),
         ("classify", '{"family":"involution","a":[null,0]}'),
+        ("classify", '{"a":1,"b":NaN,"c":0,"d":1}'),
+        ("classify", '{"family":"involution","a":NaN}'),
         ("residual", "[0.5]"),
     ],
-    ids=["list", "number", "theta_null", "theta_complex", "theta_inf", "pair_null", "residual_list"],
+    ids=["list", "number", "theta_null", "theta_complex", "theta_inf", "pair_null", "b_nan", "involution_nan",
+         "residual_list"],
 )
 def test_symbol_of_the_wrong_shape_exits_1(capsys, command, symbol):
     code, out, err = run(capsys, command, "--symbol", symbol)
@@ -475,13 +482,11 @@ def test_residual_warm_starts_each_larger_truncation(capsys, monkeypatch):
 
 
 def test_residual_rejects_non_selfmap(capsys):
-    code, _, err = run(
-        capsys,
-        "residual",
-        "--symbol",
-        '{"a":[2,0],"b":[0,0],"c":[0,0],"d":[1,0]}',
-    )
-    assert code == 2
+    for symbol in NOT_SELF_MAPS:
+        code, out, err = run(capsys, "residual", "--symbol", symbol)
+        assert code == 2, symbol
+        assert out == ""
+        assert err == "error: not a self-map of the unit disk\n"  # one line, no traceback
 
 
 # -- sweep --------------------------------------------------------------------------
@@ -603,6 +608,9 @@ ROTATION = '{"family":"rotation","theta":1.0}'
     "argv",
     [
         ["verify", "--a", "xyz"],
+        ["verify", "--a", "nan"],
+        ["verify", "--b", "inf"],
+        ["verify", "--c", "-inf"],
         ["verify", "--truncation", "0"],
         ["verify", "--truncation", "-3"],
         ["residual", "--symbol", ROTATION, "--truncation-schedule", "0"],
@@ -620,9 +628,9 @@ ROTATION = '{"family":"rotation","theta":1.0}'
         ["sweep", "--family", "involution", "--grid", "a=0.5:1.5:3", "--out", "{tmp}/x.csv"],
         ["sweep", "--family", "involution", "--grid", "a=0.1:0.5:2", "--out", "{tmp}/missing/x.csv"],
     ],
-    ids=["a_xyz", "truncation_0", "truncation_neg", "schedule_0", "schedule_4x", "corpus_missing",
-         "sweep_residual_neg", "restarts_0", "restarts_neg", "max_iters_neg", "schedule_decreasing",
-         "sweep_restarts_0", "residual_bad_symbol", "sweep_involution_outside", "sweep_out_missing_dir"],
+    ids=["a_xyz", "a_nan", "b_inf", "c_minus_inf", "truncation_0", "truncation_neg", "schedule_0", "schedule_4x",
+         "corpus_missing", "sweep_residual_neg", "restarts_0", "restarts_neg", "max_iters_neg",
+         "schedule_decreasing", "sweep_restarts_0", "residual_bad_symbol", "sweep_involution_outside", "sweep_out_missing_dir"],
 )
 def test_bad_input_exits_1_without_traceback(capsys, tmp_path, argv):
     code, _, err = run(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])

@@ -73,9 +73,8 @@ def test_matrix_column_is_symbol_power(phi):
                 want[:, j] = np.convolve(want[:, j - 1], s[:n])[:n]
         return want
 
-    # 64 x 4, 512 x 21, 9 x 1 and 4 x 1 double along rows, 8 x 64 and 1 x 9
-    # along columns; the other shapes take the antidiagonal sweep, 2 x 1 and
-    # 3 x 1 with a single column
+    # squares take the antidiagonal sweep; every block with k < n, down to
+    # 2 x 1, doubles along its rows, and every block with k > n along its columns
     shapes = [(64, 64), (64, 4), (512, 21), (8, 64), (1, 1), (1, 9), (9, 1), (4, 1), (0, 5), (5, 0), (0, 0)]
     shapes += [(7, 7), (8, 8), (9, 9), (15, 15), (16, 16), (17, 17), (17, 40), (40, 17), (100, 33), (512, 178)]
     shapes += [(2, 1), (3, 1)]
@@ -126,7 +125,8 @@ def test_matrix_applies_like_pointwise_composition():
     assert abs(evaluate(f.extended(16), phi(z).finite) - evaluate(f, phi(z).finite)) > 1e-9
 
 
-@pytest.mark.parametrize("n", [64, 512, 2048])
+# at n = 5 the composer's block is 5 x 5 and swept, at 40 it is 40 x 13 (p = 12)
+@pytest.mark.parametrize("n", [5, 40, 64, 512, 2048])
 @pytest.mark.parametrize(
     "phi",
     [
@@ -263,7 +263,11 @@ def test_schroeder_eigenrelation():
     assert (CompositionOperator(phi, n).apply(sigma) - b * sigma).norm() < 1e-10
 
 
-@pytest.mark.parametrize("coeffs", [(1, 0, 1, 0.5), (1, 0, 1, 1), (1, 1, 0, 0)], ids=["pole_inside", "pole_on_circle", "d_zero"])
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 0, 1, 0.5), (1, 0, 1, 1), (0.5, 0.49999999999, 1, 1.0000000000001), (1, 1, 0, 0)],
+    ids=["pole_inside", "pole_on_circle", "pole_within_margin", "d_zero"],
+)
 def test_power_columns_rejects_pole_in_closed_disk(coeffs):
     # the sweep, the row doubling and the column doubling all refuse it
     for n, k in [(8, 8), (64, 4), (4, 64)]:

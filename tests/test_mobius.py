@@ -103,6 +103,10 @@ def test_singular_map_rejected():
         MobiusMap(1, 2, 2, 4)
     with pytest.raises(InvalidMapError):
         MobiusMap(0, 0, 0, 0)
+    # max() drops a NaN that does not come first, so each coefficient is checked
+    for bad in (math.nan, math.inf, complex(0, math.nan)):
+        with pytest.raises(InvalidMapError):
+            MobiusMap(1, bad, 0, 1)
 
 
 @given(mobius_maps, st.floats(0.1, 100.0))
@@ -262,6 +266,8 @@ def test_selfmap_examples():
     assert not is_disk_selfmap(MobiusMap(2, 0, 0, 1))  # 2z
     assert not is_disk_selfmap(MobiusMap(1, 1, 0, 1))  # z + 1
     assert not is_disk_selfmap(MobiusMap(0, 1, 1, 0))  # 1/z
+    # pole within POLE_MARGIN of -1: maps -1 + 1e-12 to -8.64
+    assert not is_disk_selfmap(MobiusMap(0.5, 0.49999999999, 1, 1.0000000000001))
 
 
 def test_boundary_contact_flag():
