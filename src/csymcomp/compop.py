@@ -9,12 +9,12 @@ e_k = K_a phi_a^k family serve as residual oracles for the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
-from .errors import ConvergenceError, NotSelfMapError
+from .errors import NotSelfMapError
 from .hardy import H2Series, KernelSpec, kernel
 from .mobius import (
     MobiusMap,
@@ -49,26 +49,13 @@ class CompositionOperator:
 
 @dataclass
 class OperatorMatrix:
-    """Dense truncation M of a composition operator."""
+    """Dense truncation M of a composition operator, the conjugation search's input."""
 
     data: np.ndarray
 
     @property
     def truncation(self) -> int:
         return self.data.shape[0]
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-@dataclass
-class EigenReport:
-    """Eigenpairs sorted by |lambda| descending, then by argument."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: list[H2Series]
-    residuals: np.ndarray
-    matrix_norm: float = field(default=0.0)
 
 
 def matrix_of_composition(phi: MobiusMap, n: int) -> OperatorMatrix:
@@ -124,34 +111,4 @@ def lemma_star_s_check(a: complex, n: int) -> list[float]:
     for k in range(k_max):
         out.append((H2Series(rows[k + 1]) - (e[k + 1] - a * e[k])).norm())
     return out
-
-
-def eigen_decompose(t: OperatorMatrix, tol: float = 1e-8) -> EigenReport:
-    """All eigenpairs of the dense matrix with a residual guarantee.
-
-    Uses the LAPACK nonsymmetric eigensolver; pairs are sorted by
-    |lambda| descending, then by argument, so reports are reproducible.
-    Raises ConvergenceError (carrying any partial result) if the solver
-    fails or a residual exceeds tol times the Frobenius norm.
-    """
-    fro = t.frobenius_norm()
-    try:
-        vals, vecs = np.linalg.eig(t.data)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    residuals = np.linalg.norm(t.data @ vecs - vecs * vals, axis=0)
-    report = EigenReport(
-        eigenvalues=vals,
-        eigenvectors=[H2Series(vecs[:, i]) for i in range(vecs.shape[1])],
-        residuals=residuals,
-        matrix_norm=fro,
-    )
-    if np.any(residuals > tol * max(fro, 1e-300)):
-        raise ConvergenceError(
-            f"eigenpair residual exceeds {tol} * ||T||_F", partial=report
-        )
-    return report
 

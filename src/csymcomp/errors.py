@@ -24,10 +24,3 @@ class PoleDerivativeError(DomainError):
 class ExpansionDomainError(DomainError):
     """Taylor expansion about 0 requested for a map whose pole lies in the closed disk."""
 
-
-class ConvergenceError(CsymcompError):
-    """An iterative solver failed to converge; partial results may be attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

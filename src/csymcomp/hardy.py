@@ -69,14 +69,6 @@ class H2Series:
         return f"H2Series(N={self.truncation}, norm={self.norm():.6g})"
 
 
-def monomial(k: int, n: int) -> H2Series:
-    """z^k at truncation n."""
-    out = np.zeros(n, dtype=np.complex128)
-    if k < n:
-        out[k] = 1.0
-    return H2Series(out)
-
-
 def constant(value: complex, n: int) -> H2Series:
     out = np.zeros(n, dtype=np.complex128)
     out[0] = value
@@ -137,6 +129,10 @@ def series_of_mobius(f: MobiusMap, n: int) -> H2Series:
     column 1 of ``backend.power_columns``, which enforces the pole rule.
     """
     return H2Series(backend.power_columns(f.coefficients, n, 2)[:, 1])
+
+
+# ``multiply`` and ``reciprocal`` have no caller in the package: the tests use them as
+# oracles for the closed-form series, and perfbench traces them by name.
 
 
 def multiply(f: H2Series, g: H2Series) -> H2Series:

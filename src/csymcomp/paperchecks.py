@@ -22,9 +22,6 @@ from .hardy import (
     H2Series,
     constant,
     inner_product,
-    monomial,
-    multiply,
-    reciprocal,
     reproducing_kernel,
     series_of_mobius,
 )
@@ -43,15 +40,27 @@ _K_MAX = 6
 #: (K+1)|rho|^K + K|a|^3|rho|^(K-1) for the double pole of f, is below 1.6e-16.
 _DELTA_TERMS = 60
 
-#: Largest truncation of the order-3 checks, reached at |a| = 0.99224.  ``verify --suite order3``
-#: takes 4.3 s and 176 MB at N = 31 785, where ``--suite all`` fails the absolute ``TOL_MATRIX``.
-MAX_ORDER3_TRUNCATION = 32768
+#: Largest truncation a centre may ask of the order-3 and ``final`` checks.  The order-3 witness
+#: reaches it at |a| = 0.99224: ``verify --suite order3`` takes 4.3 s and 176 MB at N = 31 785,
+#: where ``--suite all`` fails the absolute ``TOL_MATRIX``.
+MAX_TRUNCATION = 32768
+
+#: ``final`` runs at the least N with N^2 |w0|^N below this: its functions' one pole, of order
+#: at most 2, sits at 1/w0, so their m-th coefficients are O(m |w0|^m).
+_FINAL_TAIL = 1e-16
 
 _CENTER_ERROR = "witness requires a in the open disk, a != 0"
 
 
 def _bz_over_one_minus_cz(b: complex, c: complex) -> MobiusMap:
     return MobiusMap(b, 0, -c, 1)
+
+
+def _series_in_u(coeffs: np.ndarray, shift: int = 0) -> H2Series:
+    """w^shift sum_k coeffs[k] u^k with u = w^3, as 3 ``_DELTA_TERMS`` terms in w."""
+    out = np.zeros(3 * _DELTA_TERMS, dtype=np.complex128)
+    out[shift::3] = coeffs
+    return H2Series(out)
 
 
 def _shift_up(f: H2Series) -> H2Series:
@@ -142,10 +151,14 @@ class Order3Witness:
 def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     """Assemble h0, h1, g, f for the elliptic symbol of order 3 centered at a.
 
-    Each is F(phi_a) for a series F in w^3 of ratio rho, built to 3 ``_DELTA_TERMS``
-    terms and composed with phi_a by one operator.  The proof pins only
-    |c0| = 1/(1-|a|^4), and every residual is invariant under its phase, so c0
-    is taken real.  The truncation defaults to ``order3_truncation(a)``.
+    Each is F(phi_a) for a series F in u = w^3 whose coefficients are geometric in
+    rho, since 1/(1 - rho u) = sum rho^k u^k.  F is written in closed form to
+    3 ``_DELTA_TERMS`` terms in w and composed with phi_a by one operator.  The
+    delta law's delta_k = rho^k + k rho_tilde rho^(k-1) meets the coefficients
+    (k+1) rho^k - conj(a)^3 k rho^(k-1) of (h1 - conj(a) h0)/lead because
+    rho_tilde = rho - conj(a)^3.  The proof pins only |c0| = 1/(1-|a|^4), and
+    every residual is invariant under its phase, so c0 is taken real.  The
+    truncation defaults to ``order3_truncation(a)``.
     """
     a = complex(a)
     r = abs(a)
@@ -158,24 +171,21 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     rho_tilde = -(ab**2 / a) * (1 - r**6) / (1 - r**4)
     c0 = 1 / (1 - r**4)
 
-    m = 3 * _DELTA_TERMS
-    one, u = constant(1.0, m), monomial(3, m)  # u stands for phi_a^3
-    num = one - ab**3 * u
-    rec = reciprocal(one - rho * u)
-    num_rec2 = multiply(num, multiply(rec, rec))
-    h0 = c0 * multiply(num, rec)
+    k = np.arange(_DELTA_TERMS)
+    rk = rho**k
+    rk1 = np.concatenate(([0], rk[:-1]))  # rho^(k-1), 0 at k = 0
+    double = (k + 1) * rk - ab**3 * k * rk1  # (1 - conj(a)^3 u)/(1 - rho u)^2
+    h0 = _series_in_u(c0 * (rk - ab**3 * rk1))  # c0 (1 - conj(a)^3 u)/(1 - rho u)
     lead = -c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
-    h1 = lead * _shift_up(num_rec2) + ab * h0
-    g = multiply(rho.conjugate() * one - u, rec)
-    f = ((1 - r**6) / (1 - r**4)) * num_rec2
-    deltas = np.zeros(m, dtype=np.complex128)
-    deltas[1] = 1.0
-    deltas[4::3] = [rho**k + k * rho_tilde * rho ** (k - 1) for k in range(1, _DELTA_TERMS)]
+    h1 = _series_in_u(lead * double, 1) + ab * h0
+    g = _series_in_u(rho.conjugate() * rk - rk1)  # (conj(rho) - u)/(1 - rho u)
+    f = _series_in_u(((1 - r**6) / (1 - r**4)) * double)
+    law = _series_in_u(lead * (rk + k * rho_tilde * rk1), 1)
     # K_a = (1 - conj(a) phi_a)/(1 - |a|^2), so e_1 - conj(a) e_0 = K_a (phi_a - conj(a))
     e1_diff = H2Series([-ab, 1 + ab**2, -ab]) * (1 / (1 - r**2))
 
     phi_a = CompositionOperator(involution(a), n)
-    h0, h1, g, f, law, e1_diff = (phi_a.apply(s) for s in (h0, h1, g, f, lead * H2Series(deltas), e1_diff))
+    h0, h1, g, f, law, e1_diff = (phi_a.apply(s) for s in (h0, h1, g, f, law, e1_diff))
     powers = backend.power_columns(involution(a).coefficients, n, 3 * _K_MAX + 3)
     return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, law, e1_diff, n, powers)
 
@@ -290,7 +300,7 @@ def order3_truncation(a: complex, n: int = DEFAULT_TRUNCATION) -> int:
     1.35 ``_tail_length``, at least 512: calibrated on that short length, it
     keeps n = 512 up to |a| = 0.71 and passes every claim at |a| = 0.95 to
     0.99, where 22 true decay lengths alone fail ``claim4_eigen``.  Raises
-    DomainError above ``MAX_ORDER3_TRUNCATION``.
+    DomainError above ``MAX_TRUNCATION``.
     """
     r = abs(a)
     if not 0 < r < 1:
@@ -298,8 +308,8 @@ def order3_truncation(a: complex, n: int = DEFAULT_TRUNCATION) -> int:
     n = max(n, DEFAULT_TRUNCATION)
     if r >= 0.05:  # below, the tail is shorter than 20 terms
         n = max(n, math.ceil(1.35 * _tail_length(a)))
-    if n > MAX_ORDER3_TRUNCATION:
-        raise DomainError(f"|a| = {r:.9g} needs truncation {n}, above {MAX_ORDER3_TRUNCATION}")
+    if n > MAX_TRUNCATION:
+        raise DomainError(f"|a| = {r:.9g} needs truncation {n}, above {MAX_TRUNCATION}")
     return n
 
 
@@ -357,6 +367,26 @@ def check_e1_norm(w: Order3Witness) -> float:
 # Degree-one reduction for non-automorphisms fixing a != 0
 
 
+def final_truncation(w0: complex, n: int = DEFAULT_TRUNCATION) -> int:
+    """Truncation of the ``final`` checks: max(n, the least N with N^2 |w0|^N <= 1e-16).
+
+    Raises DomainError when |w0| asks for more than ``MAX_TRUNCATION``; an n
+    above it is the caller's.
+    """
+    r = abs(w0)
+    if r == 0:  # the h_j are polynomials
+        return n
+    decay = -math.log(r)
+    log_tail = math.log(_FINAL_TAIL)
+    # N^2 r^N falls past N = 2/decay; from there each step stays at or below the least N
+    m = max(1.0, 2 / decay) if decay > 0 else math.inf
+    while m <= MAX_TRUNCATION and 2 * math.log(m) - decay * m > log_tail:
+        m = math.ceil((2 * math.log(m) - log_tail) / decay)
+    if m > MAX_TRUNCATION:
+        raise DomainError(f"|w0| = {r:.9g} needs a truncation above {MAX_TRUNCATION}")
+    return max(n, math.ceil(m))
+
+
 @dataclass
 class TheoremFinalReport:
     truncation: int
@@ -371,9 +401,10 @@ def check_theorem_final(
 ) -> TheoremFinalReport:
     """Unconditional identities for h_j = ((a-z)/(1-w0 z))^j.
 
-    Verifies the kernel decomposition of h1, both closed-form norms, the
-    shifted decomposition of h2 - a h1, the kernel orthogonality, the
-    gamma2 modulus, and the eigenrelations under the conjugated symbol.
+    Runs at ``final_truncation(w0, n)``.  Verifies the kernel decomposition of
+    h1, both closed-form norms, the shifted decomposition of h2 - a h1, the
+    kernel orthogonality, the gamma2 modulus, and the eigenrelations under the
+    conjugated symbol.
     """
     b, c, a = complex(b), complex(c), complex(a)
     if b == 0 or c == 0:
@@ -388,6 +419,7 @@ def check_theorem_final(
     ab = a.conjugate()
     w0 = (ab - eta) / (1 - a * eta)
     wb = w0.conjugate()
+    n = final_truncation(w0, n)
 
     base_map = MobiusMap(-1, a, -w0, 1)  # (a - z)/(1 - w0 z)
     h = backend.power_columns(base_map.coefficients, n, 3)  # h_j in column j

@@ -1,4 +1,4 @@
-"""Truncated composition operator matrices, adjoints, and spectra."""
+"""Truncated composition operator matrices and adjoints."""
 
 import cmath
 import math
@@ -11,12 +11,11 @@ from csymcomp.backend import power_columns
 from csymcomp.compop import (
     CompositionOperator,
     adjoint_kernel_checks,
-    eigen_decompose,
     involution_powers,
     lemma_star_s_check,
     matrix_of_composition,
 )
-from csymcomp.errors import ConvergenceError, ExpansionDomainError, NotSelfMapError
+from csymcomp.errors import ExpansionDomainError, NotSelfMapError
 from csymcomp.hardy import (
     H2Series,
     evaluate,
@@ -223,31 +222,6 @@ def test_order3_eigenspace_residuals():
         assert (m.apply(vec) - OMEGA3**k * vec).norm() < 1e-8
         dual = e[k] - a * e[k - 1] if k else e[0]
         assert (m.apply_adjoint(dual) - OMEGA3.conjugate() ** k * dual).norm() < 1e-8
-
-
-# -- spectra ---------------------------------------------------------------------
-
-
-def test_eigenvalues_of_affine_symbol_are_derivative_powers():
-    # phi(z) = z/2 + 1/4 fixes 1/2; spectrum of the truncation is {2^-n}
-    rep = eigen_decompose(matrix_of_composition(MobiusMap(0.5, 0.25, 0, 1), 64))
-    got = np.sort(np.abs(rep.eigenvalues))[::-1]
-    want = 0.5 ** np.arange(64)
-    assert np.allclose(got, want, atol=1e-9)
-
-
-def test_eigen_decompose_sorted_deterministically():
-    m = matrix_of_composition(involution(0.5), 32)
-    r1 = eigen_decompose(m)
-    r2 = eigen_decompose(m)
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-
-
-def test_eigen_residual_bound_enforced():
-    m = matrix_of_composition(involution(0.5), 32)
-    with pytest.raises(ConvergenceError) as exc:
-        eigen_decompose(m, tol=1e-30)
-    assert exc.value.partial is not None
 
 
 def test_schroeder_eigenrelation():

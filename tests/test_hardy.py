@@ -17,7 +17,6 @@ from csymcomp.hardy import (
     identity_id_check,
     inner_product,
     kernel,
-    monomial,
     multiply,
     reciprocal,
     reproducing_kernel,
@@ -48,10 +47,7 @@ def geometric(w, n=N):
 # -- series basics -------------------------------------------------------------
 
 
-def test_monomial_and_constant():
-    z3 = monomial(3, 8)
-    assert z3.coeffs[3] == 1.0
-    assert np.count_nonzero(z3.coeffs) == 1
+def test_constant():
     c = constant(2.5, 8)
     assert c.coeffs[0] == 2.5
     assert evaluate(c, 0.3) == pytest.approx(2.5)
@@ -142,7 +138,7 @@ def test_reciprocal_of_geometric():
 
 def test_reciprocal_rejects_vanishing_constant_term():
     with pytest.raises(DomainError):
-        reciprocal(monomial(1, 8))
+        reciprocal(H2Series([0, 1, 0, 0]))
 
 
 # -- kernels -------------------------------------------------------------------

@@ -89,3 +89,61 @@ def test_scan_sees_a_function_local_import():
     assert local_imports(tree) == [
         ". (line 6)", "csv (line 9)", "csymcomp.cli (line 4)", "csymcomp.mobius (line 7)",
         "math (line 8)", "numpy (line 4)"]
+
+
+PACKAGE = sorted((ROOT / "src" / "csymcomp").glob("*.py"))
+
+#: Public package functions and classes that no package code names, each kept
+#: for one reason: an oracle for the tests, a test helper, or a benchmark entry.
+UNNAMED_ALLOWED = {
+    "conjfinder.optimize": "benchmark entry",
+    "csym.cross_check": "oracle",
+    "hardy.evaluate": "oracle",
+    "hardy.multiply": "oracle",
+    "mobius.chordal_distance": "test helper",
+    "mobius.identity_map": "test helper",
+}
+
+
+def unnamed_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of each public module-level function or class that no
+    module names.
+
+    A name is named where it is loaded, read as an attribute or listed in
+    ``__all__``.  Attributes are matched by name alone, so a method call
+    ``x.apply`` counts as naming a function ``apply``: the scan can miss a
+    dead name, but it never reports a live one.
+    """
+    named, defined = set(), []
+    for module, tree in trees.items():
+        defined += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                named.update(ast.literal_eval(node.value))
+    return sorted(d for d in defined if d.split(".")[1] not in named)
+
+
+def test_every_unnamed_definition_is_allowed_for_a_reason():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
+    assert unnamed_definitions(trees) == sorted(UNNAMED_ALLOWED)
+    assert set(UNNAMED_ALLOWED.values()) <= {"oracle", "test helper", "benchmark entry"}
+
+
+def test_scan_sees_an_unnamed_definition():
+    trees = {
+        "m": ast.parse("def f(): pass\ndef g(): pass\ndef _h(): pass\nclass C: pass\n__all__ = ['C']\n"),
+        "n": ast.parse("from .m import f\nx = f()\ny = x.g\ndef k(): k()\n"),
+    }
+    assert unnamed_definitions(trees) == []
+    trees["n"] = ast.parse("def k(): pass\n")
+    assert unnamed_definitions(trees) == ["m.f", "m.g", "n.k"]

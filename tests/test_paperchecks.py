@@ -23,6 +23,7 @@ from csymcomp.paperchecks import (
     check_e1_norm,
     check_lemma_tz,
     check_theorem_final,
+    final_truncation,
     gap_report,
     order3_truncation,
     schroeder_sigma,
@@ -242,7 +243,7 @@ def test_order3_truncation_values(r, want):
 
 def test_order3_truncation_stops_at_its_limit():
     # the witness costs O(N^2) time; |a| = 0.999999 would need N = 2.6e8
-    limit = paperchecks.MAX_ORDER3_TRUNCATION
+    limit = paperchecks.MAX_TRUNCATION
     assert order3_truncation(0.9922) <= limit == order3_truncation(0.5, limit)
     for a in (0.9923, 0.999, 0.999999, 0.9999999999999999, 0.9999999999999999j):
         with pytest.raises(DomainError, match=f"above {limit}"):
@@ -263,6 +264,28 @@ def test_e1_norm_identity():
 
 
 # -- final theorem: membership of the adjoint images ------------------------------
+
+
+@pytest.mark.parametrize(
+    "a,want", [(0.5, 512), (0.7, 512), (0.95, 512), (0.98, 830), (0.99, 1716), (0.992, 2167), (0.995, 3537)]
+)
+def test_final_truncation_values(a, want):
+    # default b = 0.5, c = 0.25, so eta = 0.5 and w0 = (a - 0.5)/(1 - a/2)
+    w0 = (a - 0.5) / (1 - 0.5 * a)
+    assert final_truncation(w0) == want
+    assert final_truncation(w0 * cmath.exp(1j), 4096) == max(4096, want)
+    if w0:  # at w0 = 0 the h_j are polynomials
+        least = final_truncation(w0, 1)
+        assert least**2 * abs(w0) ** least <= 1e-16 < (least - 1) ** 2 * abs(w0) ** (least - 1)
+
+
+def test_final_truncation_stops_at_the_limit():
+    limit = paperchecks.MAX_TRUNCATION
+    assert final_truncation(0.998) <= limit
+    for w0 in (0.9985, 0.9999999999999999j, 1.0):
+        with pytest.raises(DomainError, match=f"above {limit}"):
+            final_truncation(w0)
+    assert final_truncation(0, limit + 1) == limit + 1  # an explicit truncation is the caller's
 
 
 @pytest.mark.parametrize(
