@@ -107,9 +107,10 @@ def _sweep(grid, bd, ad, cd):
 
 def _baby_steps(n: int) -> int:
     """Baby steps p of ``composer``: 2 sqrt(n), at most 63.  With one OpenBLAS
-    thread, a block, an apply and an adjoint of elliptic3 take 2.8 ms at
-    n = 512 (p = 44; 3.2 ms at p = 63), and 95 ms and 0.66 s at n = 4685 and
-    12 422 (p = 63; 145 ms and 1.19 s at p = 32)."""
+    thread, the elliptic3 work of one ``verify``, a block, a two-row apply and
+    a three-row adjoint of length n, takes 2.6 ms at n = 512 (p = 44; 2.9 ms
+    at p = 63), and 136 ms and 1.08 s at n = 4685 and 12 422 (p = 63; 249 ms
+    and 1.87 s at p = 32)."""
     return max(1, min(2 * math.isqrt(n), 63))
 
 
@@ -121,13 +122,21 @@ def _fft_length(m: int) -> int:
 def composer(coeffs, n: int):
     """apply and adjoint of the compression M of C_phi to n terms, from one block.
 
-    apply(f) is the first n coefficients of f o phi, f of any length, by baby
-    and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): with
-    P = phi**0 .. phi**(p-1) and s = phi**p, f o phi = sum_q s**q (P f_q), f_q
-    the q-th slice of p coefficients of f, by Horner's rule with FFT products.
-    adjoint(x), x of length n, is M^H x by the same scheme transposed: slice q
-    is P^H (T_s^H)**q x, T_s^H the correlation with s.  Every step is a
+    apply(F) is the first n coefficients of f o phi for each row f of the
+    (r, L) stack F, L any length, by baby and giant steps (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973): with P = phi**0 .. phi**(p-1) and
+    s = phi**p, f o phi = sum_q s**q (P f_q), f_q the q-th slice of p
+    coefficients of f, by Horner's rule with FFT products.  adjoint(X), X of
+    shape (r, n), is M^H x for each row x by the same scheme transposed: slice
+    q is P^H (T_s^H)**q x, T_s^H the correlation with s.  Every step is a
     contraction, so it is as accurate as M^H itself.
+
+    Both run one pass for the whole stack: each giant step is one FFT over
+    its r rows, and each baby product serves floor(p/r) slices (apply) or
+    steps (adjoint) of every row, so the work array stays at p n entries
+    whatever r is, beside the (r, n) result.  The elliptic3 work of
+    ``_baby_steps`` takes 2.6 ms at n = 512 as two such passes, against 3.5 ms
+    as five one-row passes.
     """
     p = _baby_steps(n)
     block = power_columns(coeffs, n, p + 1)
@@ -136,30 +145,43 @@ def composer(coeffs, n: int):
     giant = np.fft.fft(block[:, p], size)
     cogiant = giant.conj()
 
-    def apply(f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.complex128)
-        slices = np.zeros((-(-f.size // p), p), dtype=np.complex128)
-        slices.reshape(-1)[: f.size] = f
-        last = len(slices) - 1
-        acc = np.zeros(n, dtype=np.complex128)
-        for lo in range(last - last % p, -1, -p):  # p slices at a time: O(np) memory
-            partial = baby @ slices[lo : lo + p].T
-            for q in range(partial.shape[1] - 1, -1, -1):
+    def apply(stack) -> np.ndarray:
+        stack = np.asarray(stack, dtype=np.complex128)
+        r, length = stack.shape
+        slices = np.zeros((r, -(-length // p), p), dtype=np.complex128)
+        slices.reshape(r, -1)[:, :length] = stack
+        last = slices.shape[1] - 1
+        group = max(1, p // r)
+        acc = np.zeros((r, n), dtype=np.complex128)
+        for lo in range(last - last % group, -1, -group):
+            chunk = slices[:, lo : lo + group]
+            partial = (baby @ chunk.reshape(-1, p).T).reshape(n, r, -1)
+            for q in range(chunk.shape[1] - 1, -1, -1):
                 if lo + q < last:
-                    acc = np.fft.ifft(np.fft.fft(acc, size) * giant)[:n]
-                acc += partial[:, q]
+                    spec = np.fft.fft(acc, size)
+                    spec *= giant
+                    acc = np.fft.ifft(spec, out=spec)[:, :n]
+                acc += partial[:, :, q].T
+            del partial  # one product alive at a time: p n entries
         return acc
 
     def adjoint(z) -> np.ndarray:
-        out = np.empty((-(-n // p), p), dtype=np.complex128)
-        run = np.empty((p, n), dtype=np.complex128)  # conj of p steps, for one product
-        for q in range(len(out)):
+        z = np.asarray(z, dtype=np.complex128)
+        r = z.shape[0]
+        group = max(1, p // r)
+        out = np.empty((r, -(-n // p), p), dtype=np.complex128)
+        run = np.empty((group, r, n), dtype=np.complex128)  # conj of a group of steps
+        for q in range(out.shape[1]):
             if q:
-                z = np.fft.ifft(np.fft.fft(z, size) * cogiant)[:n]
-            run[q % p] = z.conj()
-            if q % p == p - 1 or q == len(out) - 1:
-                out[q - q % p : q + 1] = (run[: q % p + 1] @ baby).conj()
-        return out.reshape(-1)[:n]
+                spec = np.fft.fft(z, size)
+                spec *= cogiant
+                z = np.fft.ifft(spec, out=spec)[:, :n]
+            run[q % group] = z.conj()
+            if q % group == group - 1 or q == out.shape[1] - 1:
+                m = q % group + 1
+                images = (run[:m].reshape(-1, n) @ baby).conj().reshape(m, r, p)
+                out[:, q - m + 1 : q + 1] = images.transpose(1, 0, 2)
+        return out.reshape(r, -1)[:, :n]
 
     return apply, adjoint
 

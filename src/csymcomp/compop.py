@@ -9,6 +9,7 @@ e_k = K_a phi_a^k family serve as residual oracles for the construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ from .mobius import (
 class CompositionOperator:
     """The compression M of C_phi to truncation N, applied without forming M.
 
-    ``apply(f)`` is the first N coefficients of f o phi, f of any length;
-    ``apply_adjoint(f)`` is M^H applied to the first N coefficients of f.
+    ``apply(fs)`` is the first N coefficients of f o phi for each f in fs, of
+    any lengths; ``apply_adjoint(fs)`` is M^H applied to the first N
+    coefficients of each f.  Each runs one pass for all of fs.
     """
 
     def __init__(self, phi: MobiusMap, n: int):
@@ -40,11 +42,13 @@ class CompositionOperator:
         self.truncation = n
         self._apply, self._adjoint = backend.composer(phi.coefficients, n)
 
-    def apply(self, f: H2Series) -> H2Series:
-        return H2Series(self._apply(f.coeffs))
+    def apply(self, fs: Sequence[H2Series]) -> list[H2Series]:
+        width = max(f.truncation for f in fs)
+        return [H2Series(row) for row in self._apply([f.extended(width).coeffs for f in fs])]
 
-    def apply_adjoint(self, f: H2Series) -> H2Series:
-        return H2Series(self._adjoint(f.extended(self.truncation).coeffs))
+    def apply_adjoint(self, fs: Sequence[H2Series]) -> list[H2Series]:
+        n = self.truncation
+        return [H2Series(row) for row in self._adjoint([f.extended(n).coeffs for f in fs])]
 
 
 @dataclass
@@ -86,9 +90,10 @@ def adjoint_kernel_checks(phi: MobiusMap, t: CompositionOperator):
     k0 = kernel(KernelSpec(a, 0), n)
     k1 = kernel(KernelSpec(a, 1), n)
     k2 = kernel(KernelSpec(a, 2), n)
-    r1 = (t.apply_adjoint(k0) - k0).norm()
-    r2 = (t.apply_adjoint(k1) - d1 * k1).norm()
-    r3 = (t.apply_adjoint(k2) - (d1**2) * k2 - d2 * k1).norm()
+    c0, c1, c2 = t.apply_adjoint([k0, k1, k2])
+    r1 = (c0 - k0).norm()
+    r2 = (c1 - d1 * k1).norm()
+    r3 = (c2 - (d1**2) * k2 - d2 * k1).norm()
     return r1, r2, r3
 
 

@@ -159,15 +159,17 @@ def evaluate(f: H2Series, z: complex) -> complex:
     return acc
 
 
-def identity_id_check(phi: MobiusMap, z: complex, tol: float = DEFAULT_TOL) -> float:
+def identity_id_check(phi: MobiusMap, z, tol: float = DEFAULT_TOL):
     """Residual of 1-|phi(z)|^2 = (1-|w|^2)(1-|z|^2)/|1-conj(w)z|^2, w = phi^{-1}(0).
 
-    Holds exactly for disk automorphisms; raises for anything else.
+    Holds exactly for disk automorphisms; raises for anything else.  z is a
+    point of the open disk or an array of them, and the residual has its
+    shape; the automorphism test runs once for the whole array.
     """
     if not is_automorphism(phi, tol):
         raise DomainError("identity check requires a disk automorphism")
-    z = complex(z)
+    z = np.asarray(z, dtype=np.complex128)
     w = apply(phi.inverse(), 0.0).finite
-    lhs = 1.0 - abs(apply(phi, z).finite) ** 2
-    rhs = (1.0 - abs(w) ** 2) * (1.0 - abs(z) ** 2) / abs(1.0 - w.conjugate() * z) ** 2
-    return abs(lhs - rhs)
+    lhs = 1.0 - np.abs((phi.a * z + phi.b) / (phi.c * z + phi.d)) ** 2  # the pole is outside the disk
+    rhs = (1.0 - abs(w) ** 2) * (1.0 - np.abs(z) ** 2) / np.abs(1.0 - w.conjugate() * z) ** 2
+    return np.abs(lhs - rhs)

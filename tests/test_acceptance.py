@@ -25,6 +25,7 @@ from csymcomp.paperchecks import (
     check_claim2_norm,
     check_claim3_moments,
     check_claim4,
+    check_claim_eigen,
     check_lemma_tz,
     check_theorem_final,
     gap_report,
@@ -84,9 +85,10 @@ def test_criterion_3_order3_suite_polar_grid(capsys):
         for ph in phases[::4]:
             w = build_order3_witness(r * ph)
             t = CompositionOperator(elliptic(OMEGA3, w.a), w.truncation)
-            orth, eig = check_claim1_structure(w, t)
+            orth = check_claim1_structure(w)
+            eig, eig4 = check_claim_eigen(w, t)
             c2 = check_claim2_norm(w)
-            c4 = check_claim4(w, t)
+            c4 = check_claim4(w)
             worst_claims = max(
                 worst_claims,
                 max(orth),
@@ -96,7 +98,7 @@ def test_criterion_3_order3_suite_polar_grid(capsys):
                 c2["e0_norm_match"],
                 max(check_claim3_moments(w)),
                 max(c4["orthogonality"]),
-                c4["eigen"],
+                eig4,
                 c4["delta_law"],
             )
     for r in moduli:

@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from csymcomp.backend import power_columns
+from csymcomp.backend import _baby_steps, _fft_length, composer, power_columns
 from csymcomp.compop import (
     CompositionOperator,
     adjoint_kernel_checks,
@@ -112,12 +113,12 @@ def test_matrix_applies_like_pointwise_composition():
     n = 512
     f = H2Series(np.array([1.0, -0.5, 2.0, 1j], dtype=complex)).extended(n)
     z = 0.4 - 0.3j
-    for g in (H2Series(matrix_of_composition(phi, n).data @ f.coeffs), CompositionOperator(phi, n).apply(f)):
+    for g in (H2Series(matrix_of_composition(phi, n).data @ f.coeffs), *CompositionOperator(phi, n).apply([f])):
         assert evaluate(g, z) == pytest.approx(evaluate(f, phi(z).finite), abs=1e-10)
     # f longer than N: the operator gives the first N coefficients of f o phi,
     # which read every coefficient of f, as the first N rows of a wider matrix do
     f = H2Series(np.ones(40))
-    g = CompositionOperator(phi, 16).apply(f)
+    (g,) = CompositionOperator(phi, 16).apply([f])
     assert np.max(np.abs(g.coeffs - (matrix_of_composition(phi, 40).data @ f.coeffs)[:16])) <= 1e-14
     z = 0.1
     assert evaluate(g, z) == pytest.approx(evaluate(f, phi(z).finite), abs=1e-13)
@@ -144,9 +145,55 @@ def test_operator_matches_dense_matrix(phi, n):
     assert op.truncation == n
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for got, want in ((op.apply(H2Series(x)), m @ x), (op.apply_adjoint(H2Series(x)), m.conj().T @ x)):
+    (image,), (coimage,) = op.apply([H2Series(x)]), op.apply_adjoint([H2Series(x)])
+    for got, want in ((image, m @ x), (coimage, m.conj().T @ x)):
         assert got.truncation == n
         assert np.linalg.norm(got.coeffs - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [5, 64])
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
+@pytest.mark.parametrize("length", ["5", "180", "n", "3n"])
+def test_stacked_pass_matches_rows_and_dense_matrix(n, r, length):
+    # at n = 5, p = 4 < 6 = r: a stack of six rows takes one slice per baby
+    # product and the adjoint flushes every step; n = 64 gives p = 16
+    assert _baby_steps(5) == 4
+    phi = elliptic(OMEGA3, 0.6 + 0.5j)
+    op = CompositionOperator(phi, n)
+    width = {"5": 5, "180": 180, "n": n, "3n": 3 * n}[length]
+    rng = np.random.default_rng([n, r, width])
+    fs = [H2Series(rng.standard_normal(width) + 1j * rng.standard_normal(width)) for _ in range(r)]
+    m = matrix_of_composition(phi, max(n, width)).data[:n]  # the first n rows of a wider M
+    for f, image, coimage in zip(fs, op.apply(fs), op.apply_adjoint(fs)):
+        (alone,), (coalone,) = op.apply([f]), op.apply_adjoint([f])
+        x = f.extended(n).coeffs
+        for got, row, want in ((image, alone, m[:, :width] @ f.coeffs), (coimage, coalone, m[:, :n].conj().T @ x)):
+            assert got.truncation == n
+            assert np.linalg.norm(got.coeffs - row.coeffs) <= 1e-14 * np.linalg.norm(row.coeffs)
+            assert np.linalg.norm(got.coeffs - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _traced_peak(fn, x) -> int:
+    tracemalloc.start()
+    try:
+        fn(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacked_pass_memory_stays_at_p_n():
+    # a stack of r rows may add to the one-row peak its r outputs and, as slack, three
+    # FFT-length buffers per row for the giant steps, but no more baby products:
+    # at n = 4685 (p = 63) one n x p product is 4.7 MB, and r = 6 unbounded ones 28 MB
+    n, r = 4685, 6
+    apply, adjoint = composer(elliptic(OMEGA3, 0.95).coefficients, n)
+    slack = 3 * r * _fft_length(2 * n - 1)
+    rng = np.random.default_rng(4685)
+    x = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    for fn in (apply, adjoint):
+        one, stacked = _traced_peak(fn, x[:1]), _traced_peak(fn, x)
+        assert stacked <= one + 16 * (r * n + slack), fn.__name__
 
 
 def test_matrix_rejects_non_selfmap():
@@ -161,7 +208,8 @@ def test_adjoint_is_conjugate_transpose():
     m = matrix_of_composition(phi, 16)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.allclose(CompositionOperator(phi, 16).apply_adjoint(H2Series(x)).coeffs, m.data.conj().T @ x)
+    (got,) = CompositionOperator(phi, 16).apply_adjoint([H2Series(x)])
+    assert np.allclose(got.coeffs, m.data.conj().T @ x)
 
 
 def test_adjoint_reproduces_kernel_covariance():
@@ -170,7 +218,7 @@ def test_adjoint_reproduces_kernel_covariance():
     n = 512
     m = CompositionOperator(phi, n)
     w = 0.3 + 0.1j
-    got = m.apply_adjoint(reproducing_kernel(w, n))
+    (got,) = m.apply_adjoint([reproducing_kernel(w, n)])
     want = reproducing_kernel(phi(w).finite, n)
     assert (got - want).norm() < 1e-11
 
@@ -218,10 +266,11 @@ def test_order3_eigenspace_residuals():
     m = CompositionOperator(elliptic(OMEGA3, a), n)
     powers = involution_powers(a, range(7), n)
     e = [multiply(reproducing_kernel(a, n), p) for p in powers]
-    for k, vec in enumerate(powers):
-        assert (m.apply(vec) - OMEGA3**k * vec).norm() < 1e-8
-        dual = e[k] - a * e[k - 1] if k else e[0]
-        assert (m.apply_adjoint(dual) - OMEGA3.conjugate() ** k * dual).norm() < 1e-8
+    duals = [e[k] - a * e[k - 1] if k else e[0] for k in range(len(e))]
+    for k, (vec, image) in enumerate(zip(powers, m.apply(powers))):
+        assert (image - OMEGA3**k * vec).norm() < 1e-8
+    for k, (dual, image) in enumerate(zip(duals, m.apply_adjoint(duals))):
+        assert (image - OMEGA3.conjugate() ** k * dual).norm() < 1e-8
 
 
 def test_schroeder_eigenrelation():
@@ -234,7 +283,8 @@ def test_schroeder_eigenrelation():
     coeffs = np.zeros(n, dtype=complex)
     coeffs[1:] = eta ** np.arange(n - 1)
     sigma = H2Series(coeffs)
-    assert (CompositionOperator(phi, n).apply(sigma) - b * sigma).norm() < 1e-10
+    (image,) = CompositionOperator(phi, n).apply([sigma])
+    assert (image - b * sigma).norm() < 1e-10
 
 
 @pytest.mark.parametrize(

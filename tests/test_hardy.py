@@ -253,9 +253,14 @@ def test_series_rejects_pole_in_closed_disk():
 
 
 def test_identity_id_check_for_automorphisms():
+    points = [0.3 + 0.2j, 0.1 - 0.4j, -0.75]
     for phi in (rotation(1j), involution(0.5), involution(0.3 + 0.4j)):
-        for z in (0.3 + 0.2j, 0.1 - 0.4j, -0.75):
+        for z in points:
             assert identity_id_check(phi, z) < 1e-12
+        # an array of points gives the residual at each
+        grid = identity_id_check(phi, np.array([points, points[::-1]]))
+        assert grid.shape == (2, 3)
+        assert np.all(grid[0] == [identity_id_check(phi, z) for z in points])
 
 
 def test_identity_id_check_rejects_nonautomorphism():
