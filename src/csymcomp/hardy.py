@@ -164,12 +164,16 @@ def identity_id_check(phi: MobiusMap, z, tol: float = DEFAULT_TOL):
 
     Holds exactly for disk automorphisms; raises for anything else.  z is a
     point of the open disk or an array of them, and the residual has its
-    shape; the automorphism test runs once for the whole array.
+    shape; the automorphism test runs once for the whole array.  An
+    automorphism's pole lies outside the closed disk, so phi is evaluated
+    directly on the open disk, and points off it are refused.
     """
     if not is_automorphism(phi, tol):
         raise DomainError("identity check requires a disk automorphism")
     z = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.abs(z) < 1):
+        raise DomainError("identity check points must lie in the open disk")
     w = apply(phi.inverse(), 0.0).finite
-    lhs = 1.0 - np.abs((phi.a * z + phi.b) / (phi.c * z + phi.d)) ** 2  # the pole is outside the disk
+    lhs = 1.0 - np.abs((phi.a * z + phi.b) / (phi.c * z + phi.d)) ** 2
     rhs = (1.0 - abs(w) ** 2) * (1.0 - np.abs(z) ** 2) / np.abs(1.0 - w.conjugate() * z) ** 2
     return np.abs(lhs - rhs)

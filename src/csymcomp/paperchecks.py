@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,7 +120,8 @@ class Order3Witness:
     """Closed-form functions entering the order-3 contradiction argument.
 
     ``delta_law`` is lead * sum_k delta_k phi_a^(3k+1) from the closed-form
-    delta_k, and ``e1_diff`` is e_1 - conj(a) e_0 for e_k = K_a phi_a^k.
+    delta_k, ``h1_diff`` is h1 - conj(a) h0, the series that law expands, and
+    ``e1_diff`` is e_1 - conj(a) e_0 for e_k = K_a phi_a^k.
     ``phi_a_powers`` holds phi_a**j in column j for j <= 3 ``_K_MAX`` + 2,
     every power the claims read; the operator of the elliptic symbol is the
     caller's.
@@ -137,6 +139,11 @@ class Order3Witness:
     e1_diff: H2Series
     truncation: int
     phi_a_powers: np.ndarray
+
+    @cached_property
+    def h1_diff(self) -> H2Series:
+        """h1 - conj(a) h0, built once for claim 4's eigenrelation and delta law."""
+        return self.h1 - self.a.conjugate() * self.h0
 
     @property
     def g0(self) -> complex:
@@ -212,9 +219,8 @@ def check_claim_eigen(w: Order3Witness, t: CompositionOperator) -> tuple[float, 
     t (h1 - conj(a) h0) = omega (h1 - conj(a) h0).
     """
     _check_operator(w, t)
-    diff = w.h1 - w.a.conjugate() * w.h0
-    fixed, rotated = t.apply([w.h0, diff])
-    return (fixed - w.h0).norm(), (rotated - OMEGA3 * diff).norm()
+    fixed, rotated = t.apply([w.h0, w.h1_diff])
+    return (fixed - w.h0).norm(), (rotated - OMEGA3 * w.h1_diff).norm()
 
 
 def check_claim2_norm(w: Order3Witness):
@@ -262,8 +268,7 @@ def check_claim4(w: Order3Witness):
     fam = w.phi_a_family(3 * k for k in range(_K_MAX + 1))
     orth = [abs(inner_product(w.h1, v)) for v in fam]
     # delta law: h1 - conj(a) h0 = lead * sum_k delta_k phi_a^(3k+1)
-    diff = w.h1 - w.a.conjugate() * w.h0
-    return {"orthogonality": orth, "delta_law": (diff - w.delta_law).norm()}
+    return {"orthogonality": orth, "delta_law": (w.h1_diff - w.delta_law).norm()}
 
 
 # ---------------------------------------------------------------------------

@@ -266,3 +266,9 @@ def test_identity_id_check_for_automorphisms():
 def test_identity_id_check_rejects_nonautomorphism():
     with pytest.raises(DomainError):
         identity_id_check(MobiusMap(0.5, 0.25, 0, 1), 0.1)
+
+
+def test_identity_id_check_rejects_points_off_the_open_disk():
+    for z in (1.0, np.array([0.2, -1j]), np.array([0.5, 2.0])):
+        with pytest.raises(DomainError):
+            identity_id_check(involution(0.5), z)
