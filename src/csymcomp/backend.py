@@ -106,11 +106,11 @@ def _sweep(grid, bd, ad, cd):
 
 
 def _baby_steps(n: int) -> int:
-    """Baby steps p of ``composer``: 2 sqrt(n), at most 63.  With one OpenBLAS
-    thread, the elliptic3 work of one ``verify``, a block, a two-row apply and
-    a three-row adjoint of length n, takes 2.6 ms at n = 512 (p = 44; 2.9 ms
-    at p = 63), and 136 ms and 1.08 s at n = 4685 and 12 422 (p = 63; 249 ms
-    and 1.87 s at p = 32)."""
+    """Baby steps p of ``composer``: 2 sqrt(n), at most 63.  On a two-core
+    Xeon with one OpenBLAS thread, the elliptic3 work of one ``verify``, a
+    block, a two-row apply and a three-row adjoint of length n, takes 2.2 ms
+    at n = 512 (p = 44; 2.2 ms at p = 63), and 122 ms and 1.31 s at n = 4685
+    and 12 422 (p = 63; 205 ms and 1.95 s at p = 32)."""
     return max(1, min(2 * math.isqrt(n), 63))
 
 

@@ -173,6 +173,22 @@ def test_stacked_pass_matches_rows_and_dense_matrix(n, r, length):
             assert np.linalg.norm(got.coeffs - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_composer_runs_on_the_numpy_1_fft_signature(monkeypatch):
+    # pyproject allows numpy >= 1.24, whose fft and ifft take no out=
+    fft, ifft = np.fft.fft, np.fft.ifft
+    monkeypatch.setattr(np.fft, "fft", lambda a, n=None, axis=-1, norm=None: fft(a, n, axis, norm))
+    monkeypatch.setattr(np.fft, "ifft", lambda a, n=None, axis=-1, norm=None: ifft(a, n, axis, norm))
+    n, phi = 64, elliptic(OMEGA3, 0.6 + 0.5j)
+    op = CompositionOperator(phi, n)
+    m = matrix_of_composition(phi, 3 * n).data[:n]
+    rng = np.random.default_rng(1)
+    fs = [H2Series(rng.standard_normal(3 * n) + 0j) for _ in range(2)]  # 12 slices of p = 16
+    for f, image, coimage in zip(fs, op.apply(fs), op.apply_adjoint([H2Series(f.coeffs[:n]) for f in fs])):
+        assert np.linalg.norm(image.coeffs - m @ f.coeffs) <= 1e-12 * np.linalg.norm(image.coeffs)
+        want = m[:, :n].conj().T @ f.coeffs[:n]
+        assert np.linalg.norm(coimage.coeffs - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def _traced_peak(fn, x) -> int:
     tracemalloc.start()
     try:
