@@ -120,7 +120,7 @@ def _fft_length(m: int) -> int:
 
 
 def composer(coeffs, n: int):
-    """apply and adjoint of the compression M of C_phi to n terms, from one block.
+    """apply, adjoint and the one block [P, s] of the compression M of C_phi to n terms.
 
     apply(F) is the first n coefficients of f o phi for each row f of the
     (r, L) stack F, L any length, by baby and giant steps (Paterson and
@@ -181,7 +181,7 @@ def composer(coeffs, n: int):
                 out[:, q - m + 1 : q + 1] = images.transpose(1, 0, 2)
         return out.reshape(r, -1)[:, :n]
 
-    return apply, adjoint
+    return apply, adjoint, block
 
 
 def _geometric(t: complex, n: int) -> np.ndarray:

@@ -255,8 +255,8 @@ def _suite_pointwise(a: complex) -> list[dict]:
     return checks
 
 
-def _adjoint_checks(name: str, phi: MobiusMap, t: CompositionOperator) -> list[dict]:
-    residuals = adjoint_kernel_checks(phi, t)
+def _adjoint_checks(name: str, t: CompositionOperator) -> list[dict]:
+    residuals = adjoint_kernel_checks(t)
     return [
         _check(f"adjoint_{label}[{name}]", value, TOL_MATRIX, t.truncation)
         for label, value in zip(("star1", "star2", "star3"), residuals)
@@ -265,10 +265,10 @@ def _adjoint_checks(name: str, phi: MobiusMap, t: CompositionOperator) -> list[d
 
 def _suite_identities(a: complex, n: int, elliptic3: CompositionOperator) -> list[dict]:
     """The adjoint checks on the given elliptic3 operator, the rest at truncation n."""
-    checks = _adjoint_checks("elliptic3", elliptic(OMEGA3, a), elliptic3)
+    checks = _adjoint_checks("elliptic3", elliptic3)
     # dilate-translate with the same interior fixed point: z -> z/2 + a/2
     dilate = MobiusMap(0.5, a / 2.0, 0, 1)
-    checks += _adjoint_checks("dilate_translate", dilate, CompositionOperator(dilate, n))
+    checks += _adjoint_checks("dilate_translate", CompositionOperator(dilate, n))
     for k, value in enumerate(lemma_star_s_check(a, n)):
         checks.append(_check(f"lemma_star_s[k={k}]", value, TOL_MATRIX, n))
     return checks
@@ -417,8 +417,11 @@ def cmd_sweep(args) -> int:
         if args.residual_truncation and row["class"] == "not_self_map":
             row.update(best_residual=None, stop=None, grad_norm=None)
         elif args.residual_truncation:
+            # residual's warm ladder: 8, 16, 32, ... below n, then n ([n] for n <= 8)
+            n = args.residual_truncation
+            ladder = [2**i for i in range(3, (n - 1).bit_length())] + [n]
             opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
-            rep = schedule_search(phi, [args.residual_truncation], opts)[0]
+            rep = schedule_search(phi, ladder, opts)[-1]
             row.update(best_residual=_sig15(rep.best_residual), **_worst_stop(rep))
         rows.append(row)
     fieldnames = list(rows[0].keys()) if rows else ["family", param, "class", "is_cs"]

@@ -32,7 +32,8 @@ class CompositionOperator:
 
     ``apply(fs)`` is the first N coefficients of f o phi for each f in fs, of
     any lengths; ``apply_adjoint(fs)`` is M^H applied to the first N
-    coefficients of each f.  Each runs one pass for all of fs.
+    coefficients of each f.  Each runs one pass for all of fs.  ``powers`` is
+    the N x (p + 1) block of phi**0 .. phi**p that the passes use.
     """
 
     def __init__(self, phi: MobiusMap, n: int):
@@ -40,7 +41,7 @@ class CompositionOperator:
             raise NotSelfMapError("composition symbol must map the disk into itself")
         self.phi = phi
         self.truncation = n
-        self._apply, self._adjoint = backend.composer(phi.coefficients, n)
+        self._apply, self._adjoint, self.powers = backend.composer(phi.coefficients, n)
 
     def apply(self, fs: Sequence[H2Series]) -> list[H2Series]:
         width = max(f.truncation for f in fs)
@@ -75,18 +76,18 @@ def involution_powers(a: complex, exponents, n: int) -> list[H2Series]:
     return [H2Series(cols[:, e]) for e in exponents]
 
 
-def adjoint_kernel_checks(phi: MobiusMap, t: CompositionOperator):
+def adjoint_kernel_checks(t: CompositionOperator):
     """Residuals of the three adjoint identities at the interior fixed point.
 
-    ``t`` is the operator of phi.  For phi(a) = a with |a| < 1 the adjoint
+    ``t`` is the operator of phi = ``t.phi``.  For phi(a) = a with |a| < 1 the adjoint
     fixes K_a, scales the first derivative kernel by conj(phi'(a)), and acts
     on the second derivative kernel by conj(phi'(a))^2 plus a conj(phi''(a))
     multiple of the first.
     """
-    a = interior_fixed_point(phi)
+    a = interior_fixed_point(t.phi)
     n = t.truncation
-    d1 = derivative_at(phi, a).conjugate()
-    d2 = second_derivative_at(phi, a).conjugate()
+    d1 = derivative_at(t.phi, a).conjugate()
+    d2 = second_derivative_at(t.phi, a).conjugate()
     k0 = kernel(KernelSpec(a, 0), n)
     k1 = kernel(KernelSpec(a, 1), n)
     k2 = kernel(KernelSpec(a, 2), n)

@@ -2,8 +2,8 @@
 
 Elements are represented by their leading Taylor coefficients in the
 orthonormal monomial basis, so the inner product is the plain sesquilinear
-coefficient sum.  All arithmetic (products, powers, reciprocals) produces
-the exact leading coefficients of the result at the working truncation.
+coefficient sum.  All arithmetic (products, powers) produces the exact
+leading coefficients of the result at the working truncation.
 """
 
 from __future__ import annotations
@@ -111,9 +111,7 @@ def kernel(spec: KernelSpec, n: int) -> H2Series:
     falling = np.ones(n - j)
     for i in range(j):
         falling *= m - i
-    powers = np.full(n - j, w, dtype=np.complex128)
-    powers[0] = 1.0
-    out[j:] = falling * np.cumprod(powers)
+    out[j:] = falling * backend._geometric(w, n - j)
     return H2Series(out)
 
 
@@ -131,21 +129,14 @@ def series_of_mobius(f: MobiusMap, n: int) -> H2Series:
     return H2Series(backend.power_columns(f.coefficients, n, 2)[:, 1])
 
 
-# ``multiply`` and ``reciprocal`` have no caller in the package: the tests use them as
-# oracles for the closed-form series, and perfbench traces them by name.
+# ``multiply`` has no caller in the package: the tests use it as an oracle for
+# the closed-form series, and perfbench traces it by name.
 
 
 def multiply(f: H2Series, g: H2Series) -> H2Series:
     """Truncated Cauchy product at the smaller of the two truncations."""
     n = min(f.truncation, g.truncation)
     return H2Series(backend.cauchy_product(f.coeffs, g.coeffs, n))
-
-
-def reciprocal(f: H2Series) -> H2Series:
-    """Multiplicative inverse as a truncated series; needs f(0) != 0."""
-    if f.coeffs[0] == 0:
-        raise DomainError("series with zero constant term has no reciprocal")
-    return H2Series(backend.reciprocal(f.coeffs, f.truncation))
 
 
 def evaluate(f: H2Series, z: complex) -> complex:

@@ -26,7 +26,7 @@ from .hardy import (
     reproducing_kernel,
     series_of_mobius,
 )
-from .mobius import MobiusMap, apply, compose, involution
+from .mobius import MobiusMap, apply, compose, conjugate_by_involution, involution
 
 #: Default truncation for the verification suites.
 DEFAULT_TRUNCATION = 512
@@ -35,6 +35,9 @@ OMEGA3 = np.exp(2j * np.pi / 3)
 
 #: Size of the phi_a families the order-3 claims check.
 _K_MAX = 6
+
+#: Powers phi_a**0 .. phi_a**(3 _K_MAX + 2) of the families, read from the witness's operator.
+_POWERS = 3 * _K_MAX + 3
 
 #: Terms in w^3 of the series F with h = F(phi_a) for each witness function.  |rho| =
 #: |a|/(1+|a|^2) <= 1/2 at every centre, so the first coefficient left out, at most
@@ -80,7 +83,8 @@ def schroeder_sigma(eta: complex, n: int) -> H2Series:
     if abs(eta) >= 1:
         raise DomainError("sigma leaves the Hardy space when |eta| >= 1")
     out = np.zeros(n, dtype=np.complex128)
-    out[1:] = eta ** np.arange(n - 1)
+    if n > 1:
+        out[1:] = backend._geometric(eta, n - 1)
     return H2Series(out)
 
 
@@ -123,8 +127,8 @@ class Order3Witness:
     delta_k, ``h1_diff`` is h1 - conj(a) h0, the series that law expands, and
     ``e1_diff`` is e_1 - conj(a) e_0 for e_k = K_a phi_a^k.
     ``phi_a_powers`` holds phi_a**j in column j for j <= 3 ``_K_MAX`` + 2,
-    every power the claims read; the operator of the elliptic symbol is the
-    caller's.
+    every power the claims read, copied from the block of the witness's
+    operator of phi_a; the operator of the elliptic symbol is the caller's.
     """
 
     a: complex
@@ -165,7 +169,8 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     (k+1) rho^k - conj(a)^3 k rho^(k-1) of (h1 - conj(a) h0)/lead because
     rho_tilde = rho - conj(a)^3.  The proof pins only |c0| = 1/(1-|a|^4), and
     every residual is invariant under its phase, so c0 is taken real.  The
-    truncation defaults to ``order3_truncation(a)``.
+    truncation defaults to ``order3_truncation(a)``; one below 100 is refused,
+    since the operator's block then holds fewer than ``_POWERS`` powers.
     """
     a = complex(a)
     r = abs(a)
@@ -179,7 +184,7 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     c0 = 1 / (1 - r**4)
 
     k = np.arange(_DELTA_TERMS)
-    rk = rho**k
+    rk = backend._geometric(rho, _DELTA_TERMS)
     rk1 = np.concatenate(([0], rk[:-1]))  # rho^(k-1), 0 at k = 0
     double = (k + 1) * rk - ab**3 * k * rk1  # (1 - conj(a)^3 u)/(1 - rho u)^2
     h0 = _series_in_u(c0 * (rk - ab**3 * rk1))  # c0 (1 - conj(a)^3 u)/(1 - rho u)
@@ -192,14 +197,11 @@ def build_order3_witness(a: complex, n: int | None = None) -> Order3Witness:
     e1_diff = H2Series([-ab, 1 + ab**2, -ab]) * (1 / (1 - r**2))
 
     phi_a = CompositionOperator(involution(a), n)
+    if phi_a.powers.shape[1] < _POWERS:
+        raise DomainError(f"truncation {n} is below 100: its block of phi_a powers is too short")
     h0, h1, g, f, law, e1_diff = phi_a.apply([h0, h1, g, f, law, e1_diff])
-    powers = backend.power_columns(involution(a).coefficients, n, 3 * _K_MAX + 3)
+    powers = phi_a.powers[:, :_POWERS].copy()  # a copy, so that the block goes with the operator
     return Order3Witness(a, rho, rho_tilde, c0, h0, h1, g, f, law, e1_diff, n, powers)
-
-
-def _check_operator(w: Order3Witness, t: CompositionOperator) -> None:
-    if t.truncation != w.truncation:
-        raise DomainError(f"operator truncation {t.truncation} != witness truncation {w.truncation}")
 
 
 def check_claim1_structure(w: Order3Witness) -> list[float]:
@@ -218,7 +220,8 @@ def check_claim_eigen(w: Order3Witness, t: CompositionOperator) -> tuple[float, 
     at the witness's truncation.  Claim 1 has t h0 = h0, and claim 4 has
     t (h1 - conj(a) h0) = omega (h1 - conj(a) h0).
     """
-    _check_operator(w, t)
+    if t.truncation != w.truncation:
+        raise DomainError(f"operator truncation {t.truncation} != witness truncation {w.truncation}")
     fixed, rotated = t.apply([w.h0, w.h1_diff])
     return (fixed - w.h0).norm(), (rotated - OMEGA3 * w.h1_diff).norm()
 
@@ -458,7 +461,7 @@ def check_theorem_final(
         abs(gamma2) - (1 - abs(a) ** 2) / (1 - abs(eta) ** 2)
     )
 
-    phi = compose(involution(a), compose(_bz_over_one_minus_cz(b, c), involution(a)))
+    phi = conjugate_by_involution(_bz_over_one_minus_cz(b, c), a)
     m = CompositionOperator(phi, n)
     mh1, mh2 = m.apply([h1, h2])
     res["eigen_h1"] = (mh1 - b * h1).norm()

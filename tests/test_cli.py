@@ -1,6 +1,8 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
+import collections
 import contextlib
+import csv
 import io
 import json
 import os
@@ -428,10 +430,13 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
     # witness for the claims and the gap checks together, which holds the
     # only composition by phi_a; `identities` builds no witness.  The
     # witness's series are closed forms: no suite takes a product or a reciprocal.
-    # Each operator stacks what it applies: one apply pass and one adjoint pass at most
+    # Each operator stacks what it applies: one apply pass and one adjoint pass at most.
+    # The witness reads phi_a's powers from its operator's block, so `order3` builds
+    # one block of phi_a, and `all` builds 9 blocks in all
     matrices, squares, products, witnesses, phi_a_ops, passes = [], [], [], [], [], []
+    blocks = collections.Counter()
     matrix_of_composition, power_columns = compop.matrix_of_composition, backend.power_columns
-    multiply, reciprocal = hardy.multiply, hardy.reciprocal
+    multiply, reciprocal = hardy.multiply, backend.reciprocal
     composer, build_order3_witness = backend.composer, paperchecks.build_order3_witness
     phi_a = mobius.involution(complex(a)).coefficients
 
@@ -440,6 +445,7 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
         return matrix_of_composition(phi, n)
 
     def counted_power_columns(coeffs, n, k):
+        blocks[tuple(coeffs)] += 1
         if n == k:
             squares.append(n)
         return power_columns(coeffs, n, k)
@@ -448,14 +454,14 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
         products.append(max(f.truncation, g.truncation))
         return multiply(f, g)
 
-    def counted_reciprocal(f):
-        products.append(f.truncation)
-        return reciprocal(f)
+    def counted_reciprocal(f, n):
+        products.append(n)
+        return reciprocal(f, n)
 
     def counted_composer(coeffs, n):
         if tuple(coeffs) == phi_a:
             phi_a_ops.append(n)
-        apply, adjoint = composer(coeffs, n)
+        apply, adjoint, block = composer(coeffs, n)
         count = {"apply": 0, "adjoint": 0}
         passes.append(count)
 
@@ -467,7 +473,7 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
             count["adjoint"] += 1
             return adjoint(stack)
 
-        return counted_apply, counted_adjoint
+        return counted_apply, counted_adjoint, block
 
     def counted_witness(*args, **kwargs):
         witnesses.append(1)
@@ -486,8 +492,11 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
         ):
             if getattr(module, attr, None) is orig:
                 monkeypatch.setattr(module, attr, new)
-    for suite, want_witnesses in (("all", 1), ("order3", 1), ("identities", 0)):
-        for seen in (matrices, squares, products, witnesses, phi_a_ops, passes):
+    # blocks of phi_a: the witness's operator, and lemma_star_s's rows and columns
+    for suite, want_witnesses, want_phi_a, want_blocks in (
+        ("all", 1, 3, 9), ("order3", 1, 1, 2), ("identities", 0, 2, 4)
+    ):
+        for seen in (matrices, squares, products, witnesses, phi_a_ops, passes, blocks):
             seen.clear()
         code, _, _ = run(capsys, "verify", "--json", "--suite", suite, "--a", a, "--truncation", "512")
         assert code == 0
@@ -497,6 +506,8 @@ def test_verify_builds_each_block_once(capsys, monkeypatch, a):
         assert len(witnesses) == want_witnesses, f"{suite}: {len(witnesses)} witness builds"
         assert len(phi_a_ops) == want_witnesses, f"{suite}: phi_a composers {phi_a_ops}"
         assert all(max(count.values()) <= 1 for count in passes), f"{suite}: passes {passes}"
+        assert blocks[phi_a] == want_phi_a, f"{suite}: {blocks[phi_a]} blocks of phi_a"
+        assert sum(blocks.values()) == want_blocks, f"{suite}: blocks {dict(blocks)}"
 
 
 # -- residual -----------------------------------------------------------------------
@@ -609,6 +620,23 @@ def test_sweep_residual_skips_non_selfmaps(capsys, tmp_path):
         best_residual, stop, grad_norm = ln.split(",")[4:]
         assert float(best_residual) <= 1e-12
         assert stop in ("tol", "grad") and float(grad_norm) >= 0
+
+
+def test_sweep_climbs_the_residual_ladder(capsys, tmp_path):
+    # a sweep at N = 32 warm-starts through 8 and 16, as residual's schedule does
+    symbol = {"family": "elliptic3", "a": [0.5, 0.0]}
+    code, out, _ = run(capsys, "residual", "--json", "--symbol", json.dumps(symbol),
+                       "--truncation-schedule", "8,16,32")
+    assert code == 0
+    want = json.loads(out)["rows"][-1]
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--family", "elliptic3", "--grid", "a=0.5:0.5:1",
+                       "--residual-truncation", "32", "--out", str(out_file))
+    assert (code, err) == (0, "")
+    with open(out_file, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["best_residual"]) == want["best_residual"]
+    assert (row["stop"], float(row["grad_norm"])) == (want["stop"], want["grad_norm"])
 
 
 def test_sweep_over_rotation_angles(capsys, tmp_path):

@@ -203,13 +203,22 @@ def test_stacked_pass_memory_stays_at_p_n():
     # FFT-length buffers per row for the giant steps, but no more baby products:
     # at n = 4685 (p = 63) one n x p product is 4.7 MB, and r = 6 unbounded ones 28 MB
     n, r = 4685, 6
-    apply, adjoint = composer(elliptic(OMEGA3, 0.95).coefficients, n)
+    apply, adjoint, _ = composer(elliptic(OMEGA3, 0.95).coefficients, n)
     slack = 3 * r * _fft_length(2 * n - 1)
     rng = np.random.default_rng(4685)
     x = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
     for fn in (apply, adjoint):
         one, stacked = _traced_peak(fn, x[:1]), _traced_peak(fn, x)
         assert stacked <= one + 16 * (r * n + slack), fn.__name__
+
+
+def test_operator_holds_the_block_of_its_passes():
+    # phi**0 .. phi**p, the block the passes use, is the callers' too: no one builds it again
+    phi, n = elliptic(OMEGA3, 0.5), 512
+    t = CompositionOperator(phi, n)
+    p = _baby_steps(n)
+    assert np.array_equal(t.powers, power_columns(phi.coefficients, n, p + 1))
+    assert np.allclose(t.powers, matrix_of_composition(phi, n).data[:, : p + 1], atol=1e-15)
 
 
 def test_matrix_rejects_non_selfmap():
@@ -244,13 +253,12 @@ def test_adjoint_reproduces_kernel_covariance():
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.5 + 0.2j, 0.7])
 def test_adjoint_kernel_checks_involution(a):
-    r1, r2, r3 = adjoint_kernel_checks(involution(a), CompositionOperator(involution(a), 512))
+    r1, r2, r3 = adjoint_kernel_checks(CompositionOperator(involution(a), 512))
     assert max(r1, r2, r3) < 1e-7
 
 
 def test_adjoint_kernel_checks_elliptic3():
-    phi = elliptic(OMEGA3, 0.5)
-    r1, r2, r3 = adjoint_kernel_checks(phi, CompositionOperator(phi, 512))
+    r1, r2, r3 = adjoint_kernel_checks(CompositionOperator(elliptic(OMEGA3, 0.5), 512))
     assert max(r1, r2, r3) < 1e-7
 
 

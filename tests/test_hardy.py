@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csymcomp.backend import reciprocal
 from csymcomp.errors import DomainError, ExpansionDomainError
 from csymcomp.hardy import (
     H2Series,
@@ -18,7 +19,6 @@ from csymcomp.hardy import (
     inner_product,
     kernel,
     multiply,
-    reciprocal,
     reproducing_kernel,
     series_of_mobius,
 )
@@ -120,7 +120,7 @@ def test_power_of_geometric_is_negative_binomial(w, k):
 
 def test_reciprocal_long_division_oracle():
     f = H2Series(np.array([2.0, 1.0, -0.5, 0.25], dtype=complex)).extended(32)
-    r = reciprocal(f)
+    r = H2Series(reciprocal(f.coeffs, 32))
     prod = multiply(f, r)
     want = np.zeros(32)
     want[0] = 1.0
@@ -130,15 +130,15 @@ def test_reciprocal_long_division_oracle():
 def test_reciprocal_of_geometric():
     # 1/(1/(1-wz)) = 1 - wz
     w = 0.7j
-    r = reciprocal(geometric(w, 16))
+    r = reciprocal(geometric(w, 16).coeffs, 16)
     want = np.zeros(16, dtype=complex)
     want[0], want[1] = 1.0, -w
-    assert np.allclose(r.coeffs, want, atol=1e-12)
+    assert np.allclose(r, want, atol=1e-12)
 
 
 def test_reciprocal_rejects_vanishing_constant_term():
-    with pytest.raises(DomainError):
-        reciprocal(H2Series([0, 1, 0, 0]))
+    with pytest.raises(ZeroDivisionError):
+        reciprocal([0, 1, 0, 0], 4)
 
 
 # -- kernels -------------------------------------------------------------------

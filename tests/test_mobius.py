@@ -270,6 +270,30 @@ def test_selfmap_examples():
     assert not is_disk_selfmap(MobiusMap(0.5, 0.49999999999, 1, 1.0000000000001))
 
 
+_NO_ERROR_MODEL = (
+    "the disk predicates have one modelling tolerance and no stated rounding allowance "
+    "(ROADMAP item 7, the error model of a one-pass decide)"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_ERROR_MODEL)
+def test_selfmap_window_is_closed():
+    # |d|^2 - |c|^2 = 1e-10 lies below the tolerance tol (|c|^2 + |d|^2) = 2e-10
+    m = MobiusMap(0.5, 0.5 - 1e-10, 1, 1 + 5e-11)
+    assert abs(apply(m, -1 + 1e-12).finite) > 1.95
+    assert not is_disk_selfmap(m)
+    assert classify(m).kind is SymbolKind.NOT_SELF_MAP
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_ERROR_MODEL)
+def test_classify_agrees_with_the_selfmap_test_near_the_identity():
+    # (z + e)/(1 - e z), e = 0.9e-10, sends 1 to 1 + 2e: its image disk leaves the
+    # disk by 1.8e-10 against a 1e-10 allowance, yet the map passes is_identity
+    m = MobiusMap(1, 0.9e-10, -0.9e-10, 1)
+    assert m.is_identity()
+    assert (classify(m).kind is SymbolKind.NOT_SELF_MAP) == (not is_disk_selfmap(m))
+
+
 def test_boundary_contact_flag():
     assert boundary_contact(MobiusMap(0.5, 0.5, 0, 1))  # z/2 + 1/2 touches at 1
     assert not boundary_contact(MobiusMap(0.5, 0, 0, 1))

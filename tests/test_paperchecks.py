@@ -3,14 +3,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from csymcomp import paperchecks
-from csymcomp.backend import power_columns
+from csymcomp.backend import power_columns, reciprocal
 from csymcomp.cli import TOL_SERIES
 from csymcomp.compop import CompositionOperator
 from csymcomp.errors import DomainError
-from csymcomp.hardy import H2Series, constant, evaluate, multiply, reciprocal
+from csymcomp.hardy import H2Series, constant, evaluate, multiply
 from csymcomp.mobius import elliptic, involution
 from csymcomp.paperchecks import (
     _DELTA_TERMS,
@@ -131,10 +132,21 @@ def test_witness_checks_at_complex_centers(a):
 
 
 def test_claims_reject_a_matrix_of_another_truncation():
-    w = build_order3_witness(0.5, 64)
-    t = CompositionOperator(elliptic(OMEGA3, 0.5), 32)
+    w = build_order3_witness(0.5, 128)
+    # the claims read phi_a's powers from the block of the witness's operator
+    block = CompositionOperator(involution(0.5), 128).powers
+    assert np.array_equal(w.phi_a_powers, block[:, : w.phi_a_powers.shape[1]])
+    t = CompositionOperator(elliptic(OMEGA3, 0.5), 64)
     with pytest.raises(DomainError):
         check_claim_eigen(w, t)
+
+
+def test_witness_refuses_a_truncation_below_100():
+    # below N = 100 the operator's block holds fewer than the 21 powers the claims read
+    for n in (1, 64, 99):
+        with pytest.raises(DomainError):
+            build_order3_witness(0.5, n)
+    assert build_order3_witness(0.5, 100).phi_a_powers.shape == (100, 21)
 
 
 @pytest.mark.parametrize("r", [1e-6, 0.05, 0.5, 0.9, 0.99, 0.999, 1 - 1e-4])
@@ -142,7 +154,7 @@ def test_claims_reject_a_matrix_of_another_truncation():
 def test_delta_terms_cover_every_center(r, phase):
     # |rho| = |a|/(1+|a|^2) <= 1/2, so _DELTA_TERMS terms of the delta law
     # take rho^k below 1e-18 at every centre
-    w = build_order3_witness(r * phase, 64)
+    w = build_order3_witness(r * phase, 128)
     assert abs(w.rho) == pytest.approx(r / (1 + r * r), rel=1e-12)
     assert abs(w.rho) <= 0.5
     assert abs(w.rho) ** _DELTA_TERMS < 1e-18
@@ -151,7 +163,9 @@ def test_delta_terms_cover_every_center(r, phase):
     k, rho = _DELTA_TERMS, abs(w.rho)
     assert (k + 1) * rho**k + k * r**3 * rho ** (k - 1) < 1e-15
     assert (w.h1 - w.a.conjugate() * w.h0 - w.delta_law).norm() < TOL
-    assert w.phi_a_powers.shape == (64, 21)  # phi_a**j for j <= 3 * 6 + 2
+    assert w.phi_a_powers.shape == (128, 21)  # phi_a**j for j <= 3 * 6 + 2
+    block = CompositionOperator(involution(w.a), 128).powers
+    assert np.array_equal(w.phi_a_powers, block[:, :21])
 
 
 @pytest.mark.parametrize("a", [0.5, 0.6 + 0.5j, 0.95])
@@ -163,7 +177,7 @@ def test_witness_matches_products_at_full_truncation(a):
     phi_a, u = H2Series(powers[:, 1]), H2Series(powers[:, 3])
     one = constant(1.0, n)
     num = one - ab**3 * u
-    rec = reciprocal(one - w.rho * u)
+    rec = H2Series(reciprocal((one - w.rho * u).coeffs, n))
     num_rec2 = multiply(num, multiply(rec, rec))
     h0 = w.c0 * multiply(num, rec)
     lead = -w.c0 * (ab * (1 - r**6)) / (a * (1 - r**4))
