@@ -8,7 +8,7 @@ symmetric-unitary conjugation certificates.
 __version__ = "0.1.0"
 
 from .backend import backend_name
-from .csym import CsVerdict, Witness, decide, decide_automorphism
+from .csym import CsVerdict, Witness, decide, decide_automorphism, is_involutive_automorphism
 from .hardy import H2Series, KernelSpec, inner_product, kernel, series_of_mobius
 from .mobius import (
     INF,
@@ -17,6 +17,7 @@ from .mobius import (
     SpherePoint,
     SymbolClass,
     classify,
+    classify_map,
     compose,
     fixed_points,
     involution,
@@ -31,6 +32,7 @@ __all__ = [
     "Witness",
     "decide",
     "decide_automorphism",
+    "is_involutive_automorphism",
     "H2Series",
     "KernelSpec",
     "inner_product",
@@ -42,6 +44,7 @@ __all__ = [
     "SpherePoint",
     "SymbolClass",
     "classify",
+    "classify_map",
     "compose",
     "fixed_points",
     "involution",

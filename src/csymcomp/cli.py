@@ -34,8 +34,8 @@ from .mobius import (
     FixedPointData,
     MobiusMap,
     SpherePoint,
+    SymbolKind,
     boundary_contact,
-    classify,
     elliptic,
     involution,
     rotation,
@@ -227,7 +227,7 @@ def cmd_classify(args) -> int:
         verdict = decide(phi)
     except NotSelfMapError:
         report["verdict"] = None
-        report["class"] = {"kind": classify(phi).kind}
+        report["class"] = {"kind": SymbolKind.NOT_SELF_MAP}  # the class of every map decide refuses
         report["error"] = "not a self-map of the unit disk"
         emit(report, args)
         return 2

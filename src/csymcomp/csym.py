@@ -21,8 +21,7 @@ from .mobius import (
     SpherePoint,
     SymbolClass,
     SymbolKind,
-    classify,
-    fixed_points,
+    classify_map,
     is_disk_selfmap,
     order_tolerance,
 )
@@ -57,6 +56,11 @@ def _location(p: SpherePoint, tol: float) -> str:
     return "exterior"
 
 
+def _is_half_turn(phi: MobiusMap, tol: float) -> bool:
+    """The trace test of ``is_involutive_automorphism``: tr M = a + d = 0."""
+    return 2.0 * abs(phi.a + phi.d) <= order_tolerance(phi, tol) * math.sqrt(abs(phi.det))
+
+
 def is_involutive_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     """True iff phi o phi is the identity, phi is not, and phi maps the disk into itself.
 
@@ -67,20 +71,20 @@ def is_involutive_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> bool
     lam = -1, so the trace is held to the tolerance of ``classify``'s order
     test and both decision paths agree on order two.
     """
-    if phi.is_identity(tol):
-        return False
-    return (
-        2.0 * abs(phi.a + phi.d) <= order_tolerance(phi, tol) * math.sqrt(abs(phi.det))
-        and is_disk_selfmap(phi, tol)
-    )
+    return not phi.is_identity(tol) and _is_half_turn(phi, tol) and is_disk_selfmap(phi, tol)
 
 
 def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
-    """Evaluate the three sufficient-and-necessary conditions literally."""
-    if not is_disk_selfmap(phi, tol):
+    """Evaluate the three sufficient-and-necessary conditions on one ``classify_map`` pass.
+
+    The pass gives the class, the fixed points and the self-map test.  The
+    involutive condition is ``is_involutive_automorphism``'s trace test: the
+    pass has already shown that phi is a self-map and, where the test is
+    reached, not the identity.
+    """
+    cls, fp = classify_map(phi, tol)
+    if fp is None:
         raise NotSelfMapError("symbol does not map the unit disk into itself")
-    cls = classify(phi, tol)
-    fp = fixed_points(phi, tol)
     notes: list[str] = []
     witnesses: set[Witness] = set()
 
@@ -106,17 +110,16 @@ def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
         q.is_infinity and loc_p in ("zero", "interior")
     ):
         witnesses.add(Witness.FIX_INFINITY_AND_INTERIOR)
-    if is_involutive_automorphism(phi, tol):
+    if _is_half_turn(phi, tol):
         witnesses.add(Witness.INVOLUTIVE_AUTOMORPHISM)
     return CsVerdict(bool(witnesses), frozenset(witnesses), fp, cls, notes)
 
 
 def decide_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
     """Automorphism-only route: complex symmetric iff rotation or order two."""
-    cls = classify(phi, tol)
+    cls, fp = classify_map(phi, tol)
     if not cls.is_automorphism:
         raise DomainError(f"expected a disk automorphism, got {cls.kind.value}")
-    fp = fixed_points(phi, tol)
     notes: list[str] = []
     witnesses: set[Witness] = set()
     if cls.kind is SymbolKind.ROTATION:

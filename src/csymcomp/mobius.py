@@ -263,6 +263,11 @@ def fixed_points(f: MobiusMap, tol: float = DEFAULT_TOL) -> FixedPointData:
     """Roots of c z^2 + (d-a) z - b = 0 interpreted on the sphere."""
     if f.is_identity(tol):
         return FixedPointData.identity()
+    return _fixed_point_roots(f)
+
+
+def _fixed_point_roots(f: MobiusMap) -> FixedPointData:
+    """``fixed_points`` of a map other than the identity."""
     A, B, C = f.c, f.d - f.a, -f.b
     if abs(A) <= COEF_EPS:
         # infinity is fixed
@@ -310,13 +315,22 @@ def _image_disk(f: MobiusMap):
     return abs(b * d.conjugate() - a * c.conjugate()), abs(f.det), dd - cc, cc + dd
 
 
+def _maps_into(disk, tol: float) -> bool:
+    """The self-map test on ``_image_disk``'s tuple: |center| + radius <= 1."""
+    offset, radius, gap, scale = disk
+    return offset + radius <= gap + tol * scale
+
+
+def _maps_onto(disk, tol: float) -> bool:
+    """The automorphism test on ``_image_disk``'s tuple: center 0 and radius 1."""
+    offset, radius, gap, scale = disk
+    return offset <= tol * scale and abs(radius - gap) <= tol * scale
+
+
 def is_disk_selfmap(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     """True iff f maps the unit disk into itself: |center| + radius <= 1."""
     disk = _image_disk(f)
-    if disk is None:
-        return False
-    offset, radius, gap, scale = disk
-    return offset + radius <= gap + tol * scale
+    return disk is not None and _maps_into(disk, tol)
 
 
 def boundary_contact(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
@@ -331,10 +345,7 @@ def boundary_contact(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
 def is_automorphism(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     """True iff f maps the disk onto itself: center 0 and radius 1."""
     disk = _image_disk(f)
-    if disk is None:
-        return False
-    offset, radius, gap, scale = disk
-    return offset <= tol * scale and abs(radius - gap) <= tol * scale
+    return disk is not None and _maps_onto(disk, tol)
 
 
 def order_tolerance(f: MobiusMap, tol: float = DEFAULT_TOL) -> float:
@@ -352,34 +363,42 @@ def multiplier_order(lam: complex, tol: float = DEFAULT_TOL, q_max: int = ORDER_
     return math.inf
 
 
-def classify(f: MobiusMap, tol: float = DEFAULT_TOL) -> SymbolClass:
+def classify_map(
+    f: MobiusMap, tol: float = DEFAULT_TOL
+) -> tuple[SymbolClass, FixedPointData | None]:
+    """The class of f and its fixed points from one image disk and one quadratic.
+
+    The disk is tested first, so a map that fails ``is_disk_selfmap`` is
+    ``NOT_SELF_MAP``, with fixed points None, even when it passes
+    ``MobiusMap.is_identity``.  A self-map is then classified by the tests of
+    ``fixed_points`` and, on the same disk, ``is_automorphism``.
+    """
+    disk = _image_disk(f)
+    if disk is None or not _maps_into(disk, tol):
+        return SymbolClass(SymbolKind.NOT_SELF_MAP), None
     if f.is_identity(tol):
-        return SymbolClass(SymbolKind.ROTATION, order=1.0, center=0.0 + 0.0j)
-    if not is_disk_selfmap(f, tol):
-        return SymbolClass(SymbolKind.NOT_SELF_MAP)
-    fp = fixed_points(f, tol)
-    if is_automorphism(f, tol):
-        if fp.kind is FixedPointKind.REPEATED:
-            return SymbolClass(SymbolKind.PARABOLIC_AUT)
-        interior = [
-            p for p in fp.points if not p.is_infinity and abs(p.finite) < 1.0 - tol
-        ]
-        if not interior:
-            return SymbolClass(SymbolKind.HYPERBOLIC_AUT)
-        center = interior[0].finite
-        order = multiplier_order(derivative_at(f, center), order_tolerance(f, tol))
-        if abs(f.b) <= tol and abs(f.c) <= tol:
-            return SymbolClass(SymbolKind.ROTATION, order=order, center=0.0 + 0.0j)
-        return SymbolClass(SymbolKind.ELLIPTIC_AUT, order=order, center=center)
-    # non-automorphism self-map
-    interior = [
-        p
-        for p in fp.points
-        if not p.is_infinity and abs(p.finite) < 1.0 - tol
-    ]
-    if interior:
-        return SymbolClass(SymbolKind.NONAUT_INTERIOR_FIXED, center=interior[0].finite)
-    return SymbolClass(SymbolKind.NONAUT_BOUNDARY_FIXED)
+        identity = SymbolClass(SymbolKind.ROTATION, order=1.0, center=0.0 + 0.0j)
+        return identity, FixedPointData.identity()
+    fp = _fixed_point_roots(f)
+    interior = [p for p in fp.points if not p.is_infinity and abs(p.finite) < 1.0 - tol]
+    if not _maps_onto(disk, tol):
+        if interior:
+            return SymbolClass(SymbolKind.NONAUT_INTERIOR_FIXED, center=interior[0].finite), fp
+        return SymbolClass(SymbolKind.NONAUT_BOUNDARY_FIXED), fp
+    if fp.kind is FixedPointKind.REPEATED:
+        return SymbolClass(SymbolKind.PARABOLIC_AUT), fp
+    if not interior:
+        return SymbolClass(SymbolKind.HYPERBOLIC_AUT), fp
+    center = interior[0].finite
+    order = multiplier_order(derivative_at(f, center), order_tolerance(f, tol))
+    if abs(f.b) <= tol and abs(f.c) <= tol:
+        return SymbolClass(SymbolKind.ROTATION, order=order, center=0.0 + 0.0j), fp
+    return SymbolClass(SymbolKind.ELLIPTIC_AUT, order=order, center=center), fp
+
+
+def classify(f: MobiusMap, tol: float = DEFAULT_TOL) -> SymbolClass:
+    """The class of f: ``classify_map`` without the fixed points."""
+    return classify_map(f, tol)[0]
 
 
 def interior_fixed_point(f: MobiusMap, tol: float = DEFAULT_TOL) -> complex:

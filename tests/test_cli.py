@@ -147,6 +147,16 @@ def test_classify_not_selfmap_exits_2(capsys):
         assert data["class"] == {"kind": "not_self_map"}
 
 
+def test_classify_near_identity_not_selfmap_exits_2(capsys):
+    # (z + e)/(1 - e z), e = 0.9e-10, passes is_identity but not is_disk_selfmap:
+    # its class is not_self_map, not rotation
+    symbol = '{"a":1,"b":0.9e-10,"c":-0.9e-10,"d":1}'
+    code, out, _ = run(capsys, "classify", "--json", "--symbol", symbol)
+    assert code == 2
+    assert '"kind":"not_self_map"' in out
+    assert json.loads(out)["class"] == {"kind": "not_self_map"}
+
+
 def test_classify_near_circle_elliptic3(capsys):
     # the pole of elliptic3 at |a| = 0.99 lies 0.01 outside the circle
     argv = ("classify", "--json", "--symbol", '{"family":"elliptic3","a":[0.99,0]}')

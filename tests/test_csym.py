@@ -1,14 +1,21 @@
 """Decision procedure: which symbols give complex symmetric operators."""
 
 import cmath
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csymcomp import mobius
 from csymcomp.csym import (
+    CsVerdict,
     Witness,
+    _location,
     cross_check,
     decide,
     decide_automorphism,
@@ -16,13 +23,29 @@ from csymcomp.csym import (
 )
 from csymcomp.errors import DomainError, NotSelfMapError
 from csymcomp.mobius import (
+    FixedPointKind,
     MobiusMap,
+    SymbolClass,
+    SymbolKind,
+    classify,
     compose,
+    derivative_at,
     elliptic,
+    fixed_points,
     identity_map,
     involution,
+    is_automorphism,
+    is_disk_selfmap,
+    multiplier_order,
+    order_tolerance,
     rotation,
 )
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+)
+inputs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # for its dataclasses
+_spec.loader.exec_module(inputs)
 
 OMEGA3 = cmath.exp(2j * math.pi / 3)
 
@@ -162,3 +185,139 @@ def test_rotation_conjugacy_grid(q):
     for center in (0.3, 0.4 - 0.2j):
         m = elliptic(omega, center)
         assert decide(m).is_cs == (q <= 2)
+
+
+# -- one geometric pass ------------------------------------------------------------
+
+
+def _oracle_classify(f, tol):
+    """``classify`` as it was before the one pass: each predicate on its own."""
+    if f.is_identity(tol):
+        return SymbolClass(SymbolKind.ROTATION, order=1.0, center=0.0 + 0.0j)
+    if not is_disk_selfmap(f, tol):
+        return SymbolClass(SymbolKind.NOT_SELF_MAP)
+    fp = fixed_points(f, tol)
+    interior = [p for p in fp.points if not p.is_infinity and abs(p.finite) < 1.0 - tol]
+    if is_automorphism(f, tol):
+        if fp.kind is FixedPointKind.REPEATED:
+            return SymbolClass(SymbolKind.PARABOLIC_AUT)
+        if not interior:
+            return SymbolClass(SymbolKind.HYPERBOLIC_AUT)
+        center = interior[0].finite
+        order = multiplier_order(derivative_at(f, center), order_tolerance(f, tol))
+        if abs(f.b) <= tol and abs(f.c) <= tol:
+            return SymbolClass(SymbolKind.ROTATION, order=order, center=0.0 + 0.0j)
+        return SymbolClass(SymbolKind.ELLIPTIC_AUT, order=order, center=center)
+    if interior:
+        return SymbolClass(SymbolKind.NONAUT_INTERIOR_FIXED, center=interior[0].finite)
+    return SymbolClass(SymbolKind.NONAUT_BOUNDARY_FIXED)
+
+
+def _oracle_decide(phi, tol=mobius.DEFAULT_TOL):
+    """``decide`` as it was before the one pass, literally: each condition on
+    its own predicates."""
+    if not is_disk_selfmap(phi, tol):
+        raise NotSelfMapError("symbol does not map the unit disk into itself")
+    cls = _oracle_classify(phi, tol)
+    fp = fixed_points(phi, tol)
+    if fp.kind is FixedPointKind.IDENTITY:
+        return CsVerdict(True, frozenset({Witness.FIX_ZERO_AND_EXTERIOR}), fp, cls,
+                         ["identity map (rotation)"])
+    if fp.kind is FixedPointKind.REPEATED:
+        return CsVerdict(False, frozenset(), fp, cls, ["repeated fixed point (parabolic type)"])
+    p, q = fp.points
+    loc_p, loc_q = _location(p, tol), _location(q, tol)
+    notes = ["boundary fixed point"] if "boundary" in (loc_p, loc_q) else []
+    witnesses = set()
+    if {loc_p, loc_q} == {"zero", "exterior"}:
+        witnesses.add(Witness.FIX_ZERO_AND_EXTERIOR)
+    if (p.is_infinity and loc_q in ("zero", "interior")) or (
+        q.is_infinity and loc_p in ("zero", "interior")
+    ):
+        witnesses.add(Witness.FIX_INFINITY_AND_INTERIOR)
+    if is_involutive_automorphism(phi, tol):
+        witnesses.add(Witness.INVOLUTIVE_AUTOMORPHISM)
+    return CsVerdict(bool(witnesses), frozenset(witnesses), fp, cls, notes)
+
+
+def _outcome(decide_fn, phi):
+    try:
+        v = decide_fn(phi)
+    except NotSelfMapError:
+        return "not_self_map"
+    return v.is_cs, v.witnesses, v.fixed_points, v.notes, v.symbol_class
+
+
+def _near_degenerate(seed, count):
+    """Maps within 1e-13..1e-8 of a classify-round symbol or of the identity."""
+    rng = np.random.default_rng([seed, 7])
+    bases = [s.coeffs for s in inputs.classify_round(seed)] + [(1, 0, 0, 1)] * 100
+    for _ in range(count):
+        base = np.array(bases[rng.integers(len(bases))], dtype=complex)
+        scale = 10.0 ** rng.uniform(-13, -8)
+        yield base + scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+
+
+def test_one_pass_changes_no_decision():
+    # 40 classify rounds (each holds the corpus and the near-boundary slice)
+    # and 4000 maps near a round symbol or the identity
+    symbols = [s.coeffs for seed in range(40) for s in inputs.classify_round(seed)]
+    symbols += list(_near_degenerate(2718, 4000))
+    kinds = set()
+    for coeffs in symbols:
+        phi = MobiusMap(*coeffs)
+        got = _outcome(decide, phi)
+        assert got == _outcome(_oracle_decide, phi), coeffs
+        kinds.add("not_self_map" if got == "not_self_map" else got[-1].kind.value)
+    assert kinds == {k.value for k in SymbolKind}
+
+
+def test_classify_moves_only_near_identity_non_selfmaps():
+    # testing the disk first changes a class only where the old classify said
+    # rotation to a map that is_identity passes and is_disk_selfmap refuses
+    moved = 0
+    for coeffs in _near_degenerate(31, 4000):
+        phi = MobiusMap(*coeffs)
+        old, new = _oracle_classify(phi, mobius.DEFAULT_TOL), classify(phi)
+        if new != old:
+            assert phi.is_identity() and not is_disk_selfmap(phi)
+            assert (old.kind, new.kind) == (SymbolKind.ROTATION, SymbolKind.NOT_SELF_MAP)
+            moved += 1
+        assert (new.kind is SymbolKind.NOT_SELF_MAP) == (not is_disk_selfmap(phi))
+    assert moved > 0
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        identity_map(),
+        rotation(1j),
+        elliptic(OMEGA3, 0.5),
+        MobiusMap(2j - 1, 1, -1, 1 + 2j),  # parabolic automorphism
+        MobiusMap(0.5, 0.25, 0, 1),  # non-automorphism
+        MobiusMap(2, 0, 0, 1),  # not a self-map
+    ],
+    ids=["identity", "rotation", "elliptic3", "parabolic", "nonaut", "not_self_map"],
+)
+def test_decide_makes_one_geometric_pass(monkeypatch, phi):
+    # one image disk serves the self-map and automorphism tests, and one
+    # fixed-point quadratic the identity test
+    disks, identities = [], []
+    image_disk, is_identity = mobius._image_disk, MobiusMap.is_identity
+
+    def counted_disk(f):
+        disks.append(f)
+        return image_disk(f)
+
+    def counted_identity(f, tol=mobius.DEFAULT_TOL):
+        identities.append(f)
+        return is_identity(f, tol)
+
+    monkeypatch.setattr(mobius, "_image_disk", counted_disk)
+    monkeypatch.setattr(MobiusMap, "is_identity", counted_identity)
+    try:
+        decide(phi)
+    except NotSelfMapError:
+        assert identities == []
+    assert len(disks) == 1
+    assert len(identities) <= 1

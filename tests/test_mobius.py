@@ -285,10 +285,10 @@ def test_selfmap_window_is_closed():
     assert classify(m).kind is SymbolKind.NOT_SELF_MAP
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_ERROR_MODEL)
 def test_classify_agrees_with_the_selfmap_test_near_the_identity():
     # (z + e)/(1 - e z), e = 0.9e-10, sends 1 to 1 + 2e: its image disk leaves the
-    # disk by 1.8e-10 against a 1e-10 allowance, yet the map passes is_identity
+    # disk by 1.8e-10 against a 1e-10 allowance, yet the map passes is_identity;
+    # classify tests the disk first
     m = MobiusMap(1, 0.9e-10, -0.9e-10, 1)
     assert m.is_identity()
     assert (classify(m).kind is SymbolKind.NOT_SELF_MAP) == (not is_disk_selfmap(m))
