@@ -294,6 +294,7 @@ def _suite_order3(w, elliptic3: CompositionOperator) -> list[dict]:
         _check("claim4_delta_law", c4["delta_law"], TOL_SERIES, nw),
         _check("gap_matches_closed_form", gap.residual, TOL_SERIES, gap.truncation),
         _check("gap_beta_decomposition", gap.beta_residual, TOL_SERIES, gap.truncation),
+        _check("gap_f0_modulus", gap.f0_residual, TOL_SERIES, gap.truncation),
         _check(
             "gap_strictly_positive",
             0.0 if gap.gap > 0 else 1.0,

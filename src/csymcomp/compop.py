@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .errors import NotSelfMapError
+from .errors import DomainError, NotSelfMapError
 from .hardy import H2Series, KernelSpec, kernel
 from .mobius import (
     MobiusMap,
+    classify,
     derivative_at,
-    interior_fixed_point,
     involution,
     is_disk_selfmap,
     second_derivative_at,
@@ -82,9 +82,12 @@ def adjoint_kernel_checks(t: CompositionOperator):
     ``t`` is the operator of phi = ``t.phi``.  For phi(a) = a with |a| < 1 the adjoint
     fixes K_a, scales the first derivative kernel by conj(phi'(a)), and acts
     on the second derivative kernel by conj(phi'(a))^2 plus a conj(phi''(a))
-    multiple of the first.
+    multiple of the first.  a is the ``center`` of phi's ``classify``;
+    DomainError if phi has none.
     """
-    a = interior_fixed_point(t.phi)
+    a = classify(t.phi).center
+    if a is None:
+        raise DomainError("map has no fixed point in the open disk")
     n = t.truncation
     d1 = derivative_at(t.phi, a).conjugate()
     d2 = second_derivative_at(t.phi, a).conjugate()

@@ -55,6 +55,8 @@ MAX_HALVINGS = 50
 INITIAL_STEP = 1.0
 #: Relative residual at which a restart stops (``"tol"``).
 RESIDUAL_TOL = 1e-13
+#: Largest unitarity and symmetry defect ``residual`` accepts in U.
+UNITARY_TOL = 1e-8
 REORTHO_EVERY = 25
 #: Number of (step, gradient change) pairs kept by L-BFGS.
 LBFGS_MEMORY = 10
@@ -151,13 +153,13 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
 
 
-def residual(t, u: np.ndarray, tol: float = 1e-8) -> float:
+def residual(t, u: np.ndarray) -> float:
     """Normalized defect ||T U - U T^t||_F / ||T||_F for symmetric unitary U."""
     tm = _as_matrix(t)
     u = np.asarray(u, dtype=np.complex128)
-    if _unitarity_defect(u) > tol:
+    if _unitarity_defect(u) > UNITARY_TOL:
         raise DomainError("U is not unitary within tolerance")
-    if np.linalg.norm(u - u.T) > tol:
+    if np.linalg.norm(u - u.T) > UNITARY_TOL:
         raise DomainError("U is not symmetric within tolerance")
     tnorm = np.linalg.norm(tm)
     return float(np.linalg.norm(tm @ u - u @ tm.T)) / tnorm

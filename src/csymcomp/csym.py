@@ -42,26 +42,26 @@ class CsVerdict:
     notes: list[str] = field(default_factory=list)
 
 
-def _location(p: SpherePoint, tol: float) -> str:
-    """'zero' | 'interior' | 'boundary' | 'exterior' with a tolerance band."""
+def _location(p: SpherePoint) -> str:
+    """'zero' | 'interior' | 'boundary' | 'exterior' with a ``DEFAULT_TOL`` band."""
     if p.is_infinity:
         return "exterior"
     r = abs(p.finite)
-    if r <= tol:
+    if r <= DEFAULT_TOL:
         return "zero"
-    if r < 1.0 - tol:
+    if r < 1.0 - DEFAULT_TOL:
         return "interior"
-    if r <= 1.0 + tol:
+    if r <= 1.0 + DEFAULT_TOL:
         return "boundary"
     return "exterior"
 
 
-def _is_half_turn(phi: MobiusMap, tol: float) -> bool:
+def _is_half_turn(phi: MobiusMap) -> bool:
     """The trace test of ``is_involutive_automorphism``: tr M = a + d = 0."""
-    return 2.0 * abs(phi.a + phi.d) <= order_tolerance(phi, tol) * math.sqrt(abs(phi.det))
+    return 2.0 * abs(phi.a + phi.d) <= order_tolerance(phi) * math.sqrt(abs(phi.det))
 
 
-def is_involutive_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
+def is_involutive_automorphism(phi: MobiusMap) -> bool:
     """True iff phi o phi is the identity, phi is not, and phi maps the disk into itself.
 
     By Cayley-Hamilton M^2 = tr(M) M - det(M) I for the coefficient matrix
@@ -71,10 +71,10 @@ def is_involutive_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> bool
     lam = -1, so the trace is held to the tolerance of ``classify``'s order
     test and both decision paths agree on order two.
     """
-    return not phi.is_identity(tol) and _is_half_turn(phi, tol) and is_disk_selfmap(phi, tol)
+    return not phi.is_identity() and _is_half_turn(phi) and is_disk_selfmap(phi)
 
 
-def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
+def decide(phi: MobiusMap) -> CsVerdict:
     """Evaluate the three sufficient-and-necessary conditions on one ``classify_map`` pass.
 
     The pass gives the class, the fixed points and the self-map test.  The
@@ -82,7 +82,7 @@ def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
     pass has already shown that phi is a self-map and, where the test is
     reached, not the identity.
     """
-    cls, fp = classify_map(phi, tol)
+    cls, fp = classify_map(phi)
     if fp is None:
         raise NotSelfMapError("symbol does not map the unit disk into itself")
     notes: list[str] = []
@@ -100,7 +100,7 @@ def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
         return CsVerdict(False, frozenset(), fp, cls, notes)
 
     p, q = fp.points
-    loc_p, loc_q = _location(p, tol), _location(q, tol)
+    loc_p, loc_q = _location(p), _location(q)
     locs = {loc_p, loc_q}
     if "boundary" in locs:
         notes.append("boundary fixed point")
@@ -110,14 +110,14 @@ def decide(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
         q.is_infinity and loc_p in ("zero", "interior")
     ):
         witnesses.add(Witness.FIX_INFINITY_AND_INTERIOR)
-    if _is_half_turn(phi, tol):
+    if _is_half_turn(phi):
         witnesses.add(Witness.INVOLUTIVE_AUTOMORPHISM)
     return CsVerdict(bool(witnesses), frozenset(witnesses), fp, cls, notes)
 
 
-def decide_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
+def decide_automorphism(phi: MobiusMap) -> CsVerdict:
     """Automorphism-only route: complex symmetric iff rotation or order two."""
-    cls, fp = classify_map(phi, tol)
+    cls, fp = classify_map(phi)
     if not cls.is_automorphism:
         raise DomainError(f"expected a disk automorphism, got {cls.kind.value}")
     notes: list[str] = []
@@ -134,8 +134,3 @@ def decide_automorphism(phi: MobiusMap, tol: float = DEFAULT_TOL) -> CsVerdict:
     else:
         notes.append(f"{cls.kind.value}: no fixed point in the open disk")
     return CsVerdict(bool(witnesses), frozenset(witnesses), fp, cls, notes)
-
-
-def cross_check(phi: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
-    """Consistency of the general and automorphism-only decision paths."""
-    return decide(phi, tol).is_cs == decide_automorphism(phi, tol).is_cs

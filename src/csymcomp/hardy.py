@@ -15,12 +15,7 @@ import numpy as np
 
 from . import backend
 from .errors import DomainError
-from .mobius import (
-    DEFAULT_TOL,
-    MobiusMap,
-    apply,
-    is_automorphism,
-)
+from .mobius import MobiusMap, apply, is_automorphism
 
 
 class H2Series:
@@ -139,18 +134,7 @@ def multiply(f: H2Series, g: H2Series) -> H2Series:
     return H2Series(backend.cauchy_product(f.coeffs, g.coeffs, n))
 
 
-def evaluate(f: H2Series, z: complex) -> complex:
-    """Horner evaluation of the truncated polynomial inside the disk."""
-    z = complex(z)
-    if abs(z) >= 1:
-        raise DomainError(f"evaluation point must lie in the open disk, got |z|={abs(z)}")
-    acc = 0.0 + 0.0j
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def identity_id_check(phi: MobiusMap, z, tol: float = DEFAULT_TOL):
+def identity_id_check(phi: MobiusMap, z):
     """Residual of 1-|phi(z)|^2 = (1-|w|^2)(1-|z|^2)/|1-conj(w)z|^2, w = phi^{-1}(0).
 
     Holds exactly for disk automorphisms; raises for anything else.  z is a
@@ -159,7 +143,7 @@ def identity_id_check(phi: MobiusMap, z, tol: float = DEFAULT_TOL):
     automorphism's pole lies outside the closed disk, so phi is evaluated
     directly on the open disk, and points off it are refused.
     """
-    if not is_automorphism(phi, tol):
+    if not is_automorphism(phi):
         raise DomainError("identity check requires a disk automorphism")
     z = np.asarray(z, dtype=np.complex128)
     if not np.all(np.abs(z) < 1):

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import DomainError, InvalidMapError, PoleDerivativeError
 
-#: Default tolerance for geometric predicates.
+#: Tolerance of every geometric predicate.
 DEFAULT_TOL = 1e-10
 
 #: Tolerance below which a (max-modulus-normalized) determinant is rejected.
@@ -27,7 +27,7 @@ COEF_EPS = 1e-13
 
 #: Relative margin by which the pole of a self-map clears the closed unit disk.
 POLE_MARGIN = 1e-12
-_POLE_RATIO_SQ = (1.0 + POLE_MARGIN) ** 2  # for the same test on squared moduli
+_POLE_RATIO_SQ = (1.0 + POLE_MARGIN) ** 2
 
 #: Upper bound for elliptic order detection; beyond this the order is infinite.
 ORDER_MAX = 64
@@ -66,18 +66,6 @@ def as_sphere_point(z) -> SpherePoint:
     if isinstance(z, SpherePoint):
         return z
     return SpherePoint(complex(z))
-
-
-def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
-    """Chordal metric on the sphere; bounded by 2, continuous at infinity."""
-    p, q = as_sphere_point(p), as_sphere_point(q)
-    if p.is_infinity and q.is_infinity:
-        return 0.0
-    if p.is_infinity or q.is_infinity:
-        w = q.finite if p.is_infinity else p.finite
-        return 2.0 / math.sqrt(1.0 + abs(w) ** 2)
-    u, v = p.finite, q.finite
-    return 2.0 * abs(u - v) / math.sqrt((1.0 + abs(u) ** 2) * (1.0 + abs(v) ** 2))
 
 
 class FixedPointKind(Enum):
@@ -182,17 +170,13 @@ class MobiusMap:
             return INF
         return SpherePoint(-self.d / self.c)
 
-    def is_identity(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_identity(self) -> bool:
         # proportionality to (1, 0, 0, 1); coefficients are normalized already
         return (
-            abs(self.b) <= tol
-            and abs(self.c) <= tol
-            and abs(self.a - self.d) <= tol
+            abs(self.b) <= DEFAULT_TOL
+            and abs(self.c) <= DEFAULT_TOL
+            and abs(self.a - self.d) <= DEFAULT_TOL
         )
-
-
-def identity_map() -> MobiusMap:
-    return MobiusMap(1, 0, 0, 1)
 
 
 def rotation(omega: complex) -> MobiusMap:
@@ -259,9 +243,9 @@ def second_derivative_at(f: MobiusMap, z: complex) -> complex:
     return -2.0 * f.c * f.det / den**3
 
 
-def fixed_points(f: MobiusMap, tol: float = DEFAULT_TOL) -> FixedPointData:
+def fixed_points(f: MobiusMap) -> FixedPointData:
     """Roots of c z^2 + (d-a) z - b = 0 interpreted on the sphere."""
-    if f.is_identity(tol):
+    if f.is_identity():
         return FixedPointData.identity()
     return _fixed_point_roots(f)
 
@@ -289,10 +273,15 @@ def _fixed_point_roots(f: MobiusMap) -> FixedPointData:
     return FixedPointData.distinct(SpherePoint(r1), SpherePoint(r2))
 
 
+def _pole_clears(cc: float, dd: float) -> bool:
+    """The pole rule on cc = |c|^2 and dd = |d|^2: |d| > (1 + POLE_MARGIN) |c|, squared."""
+    return dd > _POLE_RATIO_SQ * cc
+
+
 def pole_outside_closed_disk(c: complex, d: complex) -> bool:
     """True iff the pole -d/c of (az + b)/(cz + d) clears the closed unit disk
-    by the relative margin ``POLE_MARGIN``: |d| > (1 + POLE_MARGIN) |c|."""
-    return abs(d) > (1.0 + POLE_MARGIN) * abs(c)
+    by the relative margin ``POLE_MARGIN``, by the test ``_image_disk`` makes."""
+    return _pole_clears(c.real * c.real + c.imag * c.imag, d.real * d.real + d.imag * d.imag)
 
 
 def _image_disk(f: MobiusMap):
@@ -303,69 +292,67 @@ def _image_disk(f: MobiusMap):
     g = |d|^2 - |c|^2.  Returns ``(g |center|, g radius, g, |c|^2 + |d|^2)``.
     The predicates compare |center| + radius with 1 multiplied through by g,
     which is small when the pole nears the circle, so none divides by it;
-    their tolerance is relative to |c|^2 + |d|^2.  The reciprocal of
-    g radius is the conditioning kappa (``MobiusMap.conditioning``).  Otherwise
-    None is returned, by the same test on the squared moduli.
+    their tolerance ``DEFAULT_TOL`` is relative to |c|^2 + |d|^2.  The
+    reciprocal of g radius is the conditioning kappa (``MobiusMap.conditioning``).
+    Otherwise None is returned.
     """
     a, b, c, d = f.a, f.b, f.c, f.d
     cc = c.real * c.real + c.imag * c.imag
     dd = d.real * d.real + d.imag * d.imag
-    if dd <= _POLE_RATIO_SQ * cc:
+    if not _pole_clears(cc, dd):
         return None
     return abs(b * d.conjugate() - a * c.conjugate()), abs(f.det), dd - cc, cc + dd
 
 
-def _maps_into(disk, tol: float) -> bool:
+def _maps_into(disk) -> bool:
     """The self-map test on ``_image_disk``'s tuple: |center| + radius <= 1."""
     offset, radius, gap, scale = disk
-    return offset + radius <= gap + tol * scale
+    return offset + radius <= gap + DEFAULT_TOL * scale
 
 
-def _maps_onto(disk, tol: float) -> bool:
+def _maps_onto(disk) -> bool:
     """The automorphism test on ``_image_disk``'s tuple: center 0 and radius 1."""
     offset, radius, gap, scale = disk
-    return offset <= tol * scale and abs(radius - gap) <= tol * scale
+    return offset <= DEFAULT_TOL * scale and abs(radius - gap) <= DEFAULT_TOL * scale
 
 
-def is_disk_selfmap(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
+def is_disk_selfmap(f: MobiusMap) -> bool:
     """True iff f maps the unit disk into itself: |center| + radius <= 1."""
     disk = _image_disk(f)
-    return disk is not None and _maps_into(disk, tol)
+    return disk is not None and _maps_into(disk)
 
 
-def boundary_contact(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
+def boundary_contact(f: MobiusMap) -> bool:
     """Advisory flag: the image of the unit circle is internally tangent to it."""
     disk = _image_disk(f)
     if disk is None:
         return False
     offset, radius, gap, scale = disk
-    return abs(offset + radius - gap) <= tol * scale
+    return abs(offset + radius - gap) <= DEFAULT_TOL * scale
 
 
-def is_automorphism(f: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
+def is_automorphism(f: MobiusMap) -> bool:
     """True iff f maps the disk onto itself: center 0 and radius 1."""
     disk = _image_disk(f)
-    return disk is not None and _maps_onto(disk, tol)
+    return disk is not None and _maps_onto(disk)
 
 
-def order_tolerance(f: MobiusMap, tol: float = DEFAULT_TOL) -> float:
-    """Tolerance of ``classify``'s order test: max(tol, 1e-13 kappa)."""
-    return max(tol, ORDER_TOL_PER_KAPPA * f.conditioning)
+def order_tolerance(f: MobiusMap) -> float:
+    """Tolerance of ``classify``'s order test: max(DEFAULT_TOL, 1e-13 kappa)."""
+    return max(DEFAULT_TOL, ORDER_TOL_PER_KAPPA * f.conditioning)
 
 
-def multiplier_order(lam: complex, tol: float = DEFAULT_TOL, q_max: int = ORDER_MAX) -> float:
-    """Smallest q <= q_max with lam^q = 1 within tol, else math.inf."""
+def multiplier_order(lam: complex, tol: float) -> float:
+    """Smallest q <= ``ORDER_MAX`` with lam^q = 1 within tol, else math.inf."""
     p = 1.0 + 0.0j
-    for q in range(1, q_max + 1):
+    for q in range(1, ORDER_MAX + 1):
         p *= lam
         if abs(p - 1.0) <= tol:
             return float(q)
     return math.inf
 
 
-def classify_map(
-    f: MobiusMap, tol: float = DEFAULT_TOL
-) -> tuple[SymbolClass, FixedPointData | None]:
+def classify_map(f: MobiusMap) -> tuple[SymbolClass, FixedPointData | None]:
     """The class of f and its fixed points from one image disk and one quadratic.
 
     The disk is tested first, so a map that fails ``is_disk_selfmap`` is
@@ -374,14 +361,14 @@ def classify_map(
     ``fixed_points`` and, on the same disk, ``is_automorphism``.
     """
     disk = _image_disk(f)
-    if disk is None or not _maps_into(disk, tol):
+    if disk is None or not _maps_into(disk):
         return SymbolClass(SymbolKind.NOT_SELF_MAP), None
-    if f.is_identity(tol):
+    if f.is_identity():
         identity = SymbolClass(SymbolKind.ROTATION, order=1.0, center=0.0 + 0.0j)
         return identity, FixedPointData.identity()
     fp = _fixed_point_roots(f)
-    interior = [p for p in fp.points if not p.is_infinity and abs(p.finite) < 1.0 - tol]
-    if not _maps_onto(disk, tol):
+    interior = [p for p in fp.points if not p.is_infinity and abs(p.finite) < 1.0 - DEFAULT_TOL]
+    if not _maps_onto(disk):
         if interior:
             return SymbolClass(SymbolKind.NONAUT_INTERIOR_FIXED, center=interior[0].finite), fp
         return SymbolClass(SymbolKind.NONAUT_BOUNDARY_FIXED), fp
@@ -390,23 +377,12 @@ def classify_map(
     if not interior:
         return SymbolClass(SymbolKind.HYPERBOLIC_AUT), fp
     center = interior[0].finite
-    order = multiplier_order(derivative_at(f, center), order_tolerance(f, tol))
-    if abs(f.b) <= tol and abs(f.c) <= tol:
+    order = multiplier_order(derivative_at(f, center), order_tolerance(f))
+    if abs(f.b) <= DEFAULT_TOL and abs(f.c) <= DEFAULT_TOL:
         return SymbolClass(SymbolKind.ROTATION, order=order, center=0.0 + 0.0j), fp
     return SymbolClass(SymbolKind.ELLIPTIC_AUT, order=order, center=center), fp
 
 
-def classify(f: MobiusMap, tol: float = DEFAULT_TOL) -> SymbolClass:
+def classify(f: MobiusMap) -> SymbolClass:
     """The class of f: ``classify_map`` without the fixed points."""
-    return classify_map(f, tol)[0]
-
-
-def interior_fixed_point(f: MobiusMap, tol: float = DEFAULT_TOL) -> complex:
-    """The fixed point of f strictly inside the disk; DomainError if none."""
-    fp = fixed_points(f, tol)
-    if fp.kind is FixedPointKind.IDENTITY:
-        return 0.0 + 0.0j
-    for p in fp.points:
-        if not p.is_infinity and abs(p.finite) < 1.0 - tol:
-            return p.finite
-    raise DomainError("map has no fixed point in the open disk")
+    return classify_map(f)[0]

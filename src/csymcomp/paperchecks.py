@@ -26,7 +26,7 @@ from .hardy import (
     reproducing_kernel,
     series_of_mobius,
 )
-from .mobius import MobiusMap, apply, compose, conjugate_by_involution, involution
+from .mobius import MobiusMap, apply, compose, conjugate_by_involution, involution, is_disk_selfmap
 
 #: Default truncation for the verification suites.
 DEFAULT_TRUNCATION = 512
@@ -96,8 +96,8 @@ def check_lemma_tz(b: complex, c: complex, n: int = DEFAULT_TRUNCATION):
     ``(mode, residual)``.
     """
     b, c = complex(b), complex(c)
-    if b == 0 or abs(b) + abs(c) > 1 + 1e-12:
-        raise DomainError("need b != 0 and |b|+|c| <= 1")
+    if b == 0 or not is_disk_selfmap(_bz_over_one_minus_cz(b, c)):
+        raise DomainError("need b != 0 and bz/(1-cz) a disk self-map")
     phi = _bz_over_one_minus_cz(b, c)
     eta = c / (1 - b)
     sigma_map = MobiusMap(1, 0, -eta, 1)
@@ -288,6 +288,7 @@ class GapReport:
     expected_gap: float
     residual: float
     beta_residual: float
+    f0_residual: float
 
 
 def _tail_length(a: complex) -> int:
@@ -330,13 +331,16 @@ def gap_report(w: Order3Witness) -> GapReport:
     lhs = ||f||^2 from the series, which matches
     (1 + 2|a|^2 - 2|a|^4 - |a|^6)(1+|a|^2)^2; rhs is the value an isometric
     conjugation would force, (1-|a|^4)(1+|a|^2)^2.  The gap is strictly
-    positive for every a != 0 in the disk, which is the contradiction.
+    positive for every a != 0 in the disk, which is the contradiction.  It is
+    read without cancelling the two: f(0) = F(a^3) gives |f_0|^2 = (1-|a|^4)^2,
+    so lhs - rhs = sum_{m>=1} |f_m|^2 - 2|a|^2 (1+|a|^2)(1-|a|^4), whose two
+    terms are O(|a|^2); ``f0_residual`` checks the series |f_0|^2.
     """
     a = w.a
     r = abs(a)
     lhs = w.f.norm_sq()
     rhs = (1 - r**4) * (1 + r**2) ** 2
-    gap = lhs - rhs
+    gap = float(np.sum(np.abs(w.f.coeffs[1:]) ** 2)) - 2 * r**2 * (1 + r**2) * (1 - r**4)
     expected = (2 * r**2 - r**4 - r**6) * (1 + r**2) ** 2
 
     # cross-check through the inner-function decomposition f = b1 g^2 + b2 g + b3
@@ -365,6 +369,7 @@ def gap_report(w: Order3Witness) -> GapReport:
         expected_gap=expected,
         residual=abs(gap - expected),
         beta_residual=abs(lhs - norm_from_betas),
+        f0_residual=abs(abs(w.f.coeffs[0]) ** 2 - (1 - r**4) ** 2),
     )
 
 
@@ -420,7 +425,7 @@ def check_theorem_final(
     b, c, a = complex(b), complex(c), complex(a)
     if b == 0 or c == 0:
         raise DomainError("need b != 0 and c != 0")
-    if abs(b) + abs(c) > 1 + 1e-12:
+    if not is_disk_selfmap(_bz_over_one_minus_cz(b, c)):
         raise DomainError("bz/(1-cz) is not a disk self-map")
     if a == 0 or abs(a) >= 1:
         raise DomainError("need a in the open disk, a != 0")

@@ -232,6 +232,15 @@ def test_verify_schroeder_suite(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+@pytest.mark.parametrize("c, code", [("0.50000000005", 0), ("0.5000000002", 2)])
+def test_schroeder_and_classify_share_the_selfmap_test(capsys, c, code):
+    # bz/(1 - cz) at b = 0.5 leaves the disk by c - 0.5; the first c is within
+    # the tolerance of is_disk_selfmap, the second beyond it
+    symbol = json.dumps({"family": "bz_over_1_minus_cz", "b": 0.5, "c": float(c)})
+    assert run(capsys, "classify", "--json", "--symbol", symbol)[0] == code
+    assert run(capsys, "verify", "--json", "--suite", "schroeder", "--b", "0.5", "--c", c)[0] == code
+
+
 def test_verify_order3_suite(capsys):
     code, out, _ = run(
         capsys, "verify", "--json", "--suite", "order3", "--a", "0.3", "--truncation", "512"
@@ -286,15 +295,9 @@ def test_verify_order3_near_circle_is_not_rejected(capsys):
     assert e1["pass"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "gap_strictly_positive fails for |a| <= 1e-9 (ROADMAP item 1): the gap, about "
-        "2|a|^2, lies below the rounding error of ||f||^2, so the series gap reads 0"
-    ),
-)
 def test_verify_order3_passes_at_a_tiny_centre(capsys):
+    # the gap, about 2|a|^2, lies below the rounding error of ||f||^2 ~ 1; it is read
+    # from the series without f_0, so nothing cancels
     code, out, _ = run(capsys, "verify", "--json", "--suite", "order3", "--a", "1e-9")
     assert [ch["name"] for ch in json.loads(out)["checks"] if not ch["pass"]] == []
     assert code == 0
@@ -583,6 +586,28 @@ def test_residual_warm_starts_each_larger_truncation(capsys, monkeypatch):
     assert code == 0
     assert stacks == [(8, 8, 8), (1, 16, 16), (1, 32, 32), (1, 64, 64)]
     assert [r["restarts"] for r in json.loads(out)["rows"]] == [8, 1, 1, 1]
+
+
+# an elliptic automorphism whose pole clears the closed disk by the pole margin
+# to within rounding: it passes is_disk_selfmap, so its expansion must exist
+POLE_AT_MARGIN = json.dumps({
+    "a": [0.9559640329626999, 0.293480438330547],
+    "b": [-0.9520836394945152, 0.3058345032952915],
+    "c": [-0.6164683306544431, -0.7873797033821256],
+    "d": [0.9559649889276889, 0.2934807318112788],
+})
+
+
+def test_residual_expands_a_selfmap_at_the_pole_margin(capsys):
+    code, out, _ = run(capsys, "classify", "--json", "--symbol", POLE_AT_MARGIN)
+    assert code == 0
+    assert json.loads(out)["verdict"]["class"]["kind"] == "elliptic_automorphism"
+    code, _, err = run(
+        capsys, "residual", "--json", "--symbol", POLE_AT_MARGIN,
+        "--truncation-schedule", "4,8", "--restarts", "2",
+    )
+    assert code == 0
+    assert "Traceback" not in err
 
 
 def test_residual_rejects_non_selfmap(capsys):

@@ -19,13 +19,14 @@ from csymcomp.compop import (
 from csymcomp.errors import ExpansionDomainError, NotSelfMapError
 from csymcomp.hardy import (
     H2Series,
-    evaluate,
     inner_product,
     multiply,
     reproducing_kernel,
     series_of_mobius,
 )
 from csymcomp.mobius import MobiusMap, elliptic, involution, rotation
+
+from helpers import evaluate
 
 OMEGA3 = cmath.exp(2j * math.pi / 3)
 

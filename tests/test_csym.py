@@ -16,7 +16,6 @@ from csymcomp.csym import (
     CsVerdict,
     Witness,
     _location,
-    cross_check,
     decide,
     decide_automorphism,
     is_involutive_automorphism,
@@ -32,7 +31,6 @@ from csymcomp.mobius import (
     derivative_at,
     elliptic,
     fixed_points,
-    identity_map,
     involution,
     is_automorphism,
     is_disk_selfmap,
@@ -40,6 +38,8 @@ from csymcomp.mobius import (
     order_tolerance,
     rotation,
 )
+
+from helpers import cross_check, identity_map
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
@@ -190,21 +190,22 @@ def test_rotation_conjugacy_grid(q):
 # -- one geometric pass ------------------------------------------------------------
 
 
-def _oracle_classify(f, tol):
+def _oracle_classify(f):
     """``classify`` as it was before the one pass: each predicate on its own."""
-    if f.is_identity(tol):
+    tol = mobius.DEFAULT_TOL
+    if f.is_identity():
         return SymbolClass(SymbolKind.ROTATION, order=1.0, center=0.0 + 0.0j)
-    if not is_disk_selfmap(f, tol):
+    if not is_disk_selfmap(f):
         return SymbolClass(SymbolKind.NOT_SELF_MAP)
-    fp = fixed_points(f, tol)
+    fp = fixed_points(f)
     interior = [p for p in fp.points if not p.is_infinity and abs(p.finite) < 1.0 - tol]
-    if is_automorphism(f, tol):
+    if is_automorphism(f):
         if fp.kind is FixedPointKind.REPEATED:
             return SymbolClass(SymbolKind.PARABOLIC_AUT)
         if not interior:
             return SymbolClass(SymbolKind.HYPERBOLIC_AUT)
         center = interior[0].finite
-        order = multiplier_order(derivative_at(f, center), order_tolerance(f, tol))
+        order = multiplier_order(derivative_at(f, center), order_tolerance(f))
         if abs(f.b) <= tol and abs(f.c) <= tol:
             return SymbolClass(SymbolKind.ROTATION, order=order, center=0.0 + 0.0j)
         return SymbolClass(SymbolKind.ELLIPTIC_AUT, order=order, center=center)
@@ -213,20 +214,20 @@ def _oracle_classify(f, tol):
     return SymbolClass(SymbolKind.NONAUT_BOUNDARY_FIXED)
 
 
-def _oracle_decide(phi, tol=mobius.DEFAULT_TOL):
+def _oracle_decide(phi):
     """``decide`` as it was before the one pass, literally: each condition on
     its own predicates."""
-    if not is_disk_selfmap(phi, tol):
+    if not is_disk_selfmap(phi):
         raise NotSelfMapError("symbol does not map the unit disk into itself")
-    cls = _oracle_classify(phi, tol)
-    fp = fixed_points(phi, tol)
+    cls = _oracle_classify(phi)
+    fp = fixed_points(phi)
     if fp.kind is FixedPointKind.IDENTITY:
         return CsVerdict(True, frozenset({Witness.FIX_ZERO_AND_EXTERIOR}), fp, cls,
                          ["identity map (rotation)"])
     if fp.kind is FixedPointKind.REPEATED:
         return CsVerdict(False, frozenset(), fp, cls, ["repeated fixed point (parabolic type)"])
     p, q = fp.points
-    loc_p, loc_q = _location(p, tol), _location(q, tol)
+    loc_p, loc_q = _location(p), _location(q)
     notes = ["boundary fixed point"] if "boundary" in (loc_p, loc_q) else []
     witnesses = set()
     if {loc_p, loc_q} == {"zero", "exterior"}:
@@ -235,7 +236,7 @@ def _oracle_decide(phi, tol=mobius.DEFAULT_TOL):
         q.is_infinity and loc_p in ("zero", "interior")
     ):
         witnesses.add(Witness.FIX_INFINITY_AND_INTERIOR)
-    if is_involutive_automorphism(phi, tol):
+    if is_involutive_automorphism(phi):
         witnesses.add(Witness.INVOLUTIVE_AUTOMORPHISM)
     return CsVerdict(bool(witnesses), frozenset(witnesses), fp, cls, notes)
 
@@ -278,7 +279,7 @@ def test_classify_moves_only_near_identity_non_selfmaps():
     moved = 0
     for coeffs in _near_degenerate(31, 4000):
         phi = MobiusMap(*coeffs)
-        old, new = _oracle_classify(phi, mobius.DEFAULT_TOL), classify(phi)
+        old, new = _oracle_classify(phi), classify(phi)
         if new != old:
             assert phi.is_identity() and not is_disk_selfmap(phi)
             assert (old.kind, new.kind) == (SymbolKind.ROTATION, SymbolKind.NOT_SELF_MAP)
@@ -309,9 +310,9 @@ def test_decide_makes_one_geometric_pass(monkeypatch, phi):
         disks.append(f)
         return image_disk(f)
 
-    def counted_identity(f, tol=mobius.DEFAULT_TOL):
+    def counted_identity(f):
         identities.append(f)
-        return is_identity(f, tol)
+        return is_identity(f)
 
     monkeypatch.setattr(mobius, "_image_disk", counted_disk)
     monkeypatch.setattr(MobiusMap, "is_identity", counted_identity)

@@ -14,7 +14,6 @@ from csymcomp.hardy import (
     H2Series,
     KernelSpec,
     constant,
-    evaluate,
     identity_id_check,
     inner_product,
     kernel,
@@ -23,6 +22,8 @@ from csymcomp.hardy import (
     series_of_mobius,
 )
 from csymcomp.mobius import MobiusMap, involution, rotation
+
+from helpers import evaluate
 
 N = 64
 

@@ -94,15 +94,12 @@ def test_scan_sees_a_function_local_import():
 PACKAGE = sorted((ROOT / "src" / "csymcomp").glob("*.py"))
 
 #: Public package functions and classes that no package code names, each kept
-#: for one reason: an oracle for the tests, a test helper, or a benchmark entry.
+#: for one reason: an oracle that the benchmark traces by name, or a benchmark
+#: entry.  Helpers that only the tests use live in ``tests/helpers.py``.
 UNNAMED_ALLOWED = {
     "backend.reciprocal": "oracle",
     "conjfinder.optimize": "benchmark entry",
-    "csym.cross_check": "oracle",
-    "hardy.evaluate": "oracle",
     "hardy.multiply": "oracle",
-    "mobius.chordal_distance": "test helper",
-    "mobius.identity_map": "test helper",
 }
 
 
@@ -137,7 +134,7 @@ def unnamed_definitions(trees: dict[str, ast.Module]) -> list[str]:
 def test_every_unnamed_definition_is_allowed_for_a_reason():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
     assert unnamed_definitions(trees) == sorted(UNNAMED_ALLOWED)
-    assert set(UNNAMED_ALLOWED.values()) <= {"oracle", "test helper", "benchmark entry"}
+    assert set(UNNAMED_ALLOWED.values()) <= {"oracle", "benchmark entry"}
 
 
 def test_scan_sees_an_unnamed_definition():
@@ -148,3 +145,46 @@ def test_scan_sees_an_unnamed_definition():
     assert unnamed_definitions(trees) == []
     trees["n"] = ast.parse("def k(): pass\n")
     assert unnamed_definitions(trees) == ["m.f", "m.g", "n.k"]
+
+
+#: Modules whose predicates read their tolerances from module constants.
+CONSTANT_TOLERANCE_MODULES = ("mobius", "csym", "hardy", "conjfinder")
+
+
+def optional_tolerances(tree: ast.Module) -> list[str]:
+    """``name(param)`` for each ``tol`` or ``q_max`` parameter with a default of
+    a public module-level function or a public method of a module-level class."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+    found = []
+    for name, func in functions:
+        if any(part.startswith("_") for part in name.split(".")):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        optional = positional[len(positional) - len(args.defaults):]
+        optional += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found += [f"{name}({a.arg})" for a in optional if a.arg in ("tol", "q_max")]
+    return sorted(found)
+
+
+def test_no_predicate_has_a_settable_tolerance():
+    for module in CONSTANT_TOLERANCE_MODULES:
+        path = ROOT / "src" / "csymcomp" / f"{module}.py"
+        assert optional_tolerances(ast.parse(path.read_text(), str(path))) == [], module
+
+
+def test_scan_sees_an_optional_tolerance():
+    tree = ast.parse(
+        "def f(x, tol=1e-10): pass\n"
+        "def g(lam, tol): pass\n"
+        "def _h(tol=1): pass\n"
+        "class C:\n"
+        "    def m(self, *, q_max=3): pass\n"
+        "    def _n(self, tol=1): pass\n"
+    )
+    assert optional_tolerances(tree) == ["C.m(q_max)", "f(tol)"]

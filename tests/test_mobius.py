@@ -3,14 +3,20 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csymcomp import mobius
+from csymcomp.backend import power_columns
+from csymcomp.compop import CompositionOperator, adjoint_kernel_checks
 from csymcomp.csym import Witness, decide, decide_automorphism
 from csymcomp.errors import DomainError, InvalidMapError, PoleDerivativeError
 from csymcomp.mobius import (
+    DEFAULT_TOL,
     INF,
+    POLE_MARGIN,
     ORDER_MAX,
     ORDER_TOL_PER_KAPPA,
     FixedPointKind,
@@ -19,22 +25,22 @@ from csymcomp.mobius import (
     SymbolKind,
     apply,
     boundary_contact,
-    chordal_distance,
     classify,
     compose,
     conjugate_by_involution,
     derivative_at,
     elliptic,
     fixed_points,
-    identity_map,
-    interior_fixed_point,
     involution,
     is_automorphism,
     is_disk_selfmap,
     multiplier_order,
+    pole_outside_closed_disk,
     rotation,
     second_derivative_at,
 )
+
+from helpers import chordal_distance, identity_map, is_identity_within
 
 # -- strategies --------------------------------------------------------------
 
@@ -122,8 +128,8 @@ def test_normalization_scale_invariant(m, s):
 @given(mobius_maps)
 @settings(max_examples=50)
 def test_inverse_composes_to_identity(m):
-    assert compose(m, m.inverse()).is_identity(1e-7)
-    assert compose(m.inverse(), m).is_identity(1e-7)
+    assert is_identity_within(compose(m, m.inverse()), 1e-7)
+    assert is_identity_within(compose(m.inverse(), m), 1e-7)
 
 
 @given(mobius_maps, mobius_maps, disk_points)
@@ -249,7 +255,7 @@ def test_involution_is_disk_automorphism_and_self_inverse(a):
     phi = involution(a)
     assert is_disk_selfmap(phi)
     assert is_automorphism(phi)
-    assert compose(phi, phi).is_identity(1e-8)
+    assert is_identity_within(compose(phi, phi), 1e-8)
     assert apply(phi, 0.0).finite == pytest.approx(a)
     got = apply(phi, a).finite
     assert abs(got) < 1e-8
@@ -278,7 +284,7 @@ _NO_ERROR_MODEL = (
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_ERROR_MODEL)
 def test_selfmap_window_is_closed():
-    # |d|^2 - |c|^2 = 1e-10 lies below the tolerance tol (|c|^2 + |d|^2) = 2e-10
+    # |d|^2 - |c|^2 = 1e-10 lies below the tolerance DEFAULT_TOL (|c|^2 + |d|^2) = 2e-10
     m = MobiusMap(0.5, 0.5 - 1e-10, 1, 1 + 5e-11)
     assert abs(apply(m, -1 + 1e-12).finite) > 1.95
     assert not is_disk_selfmap(m)
@@ -350,28 +356,59 @@ def test_classify_nonautomorphisms():
 
 
 def test_multiplier_order_threshold():
-    assert multiplier_order(cmath.exp(2j * math.pi / 7)) == 7.0
-    assert multiplier_order(cmath.exp(2j * math.pi / 65)) == math.inf  # beyond cap
-    assert multiplier_order(0.5) == math.inf
+    assert multiplier_order(cmath.exp(2j * math.pi / 7), DEFAULT_TOL) == 7.0
+    assert multiplier_order(cmath.exp(2j * math.pi / 65), DEFAULT_TOL) == math.inf  # beyond cap
+    assert multiplier_order(0.5, DEFAULT_TOL) == math.inf
 
 
 def test_interior_fixed_point():
-    assert interior_fixed_point(MobiusMap(0.5, 0.25, 0, 1)) == pytest.approx(0.5)
-    assert interior_fixed_point(involution(0.3)) == pytest.approx(
+    assert classify(MobiusMap(0.5, 0.25, 0, 1)).center == pytest.approx(0.5)
+    assert classify(involution(0.3)).center == pytest.approx(
         (1 - math.sqrt(1 - 0.09)) / 0.3
     )
+    # a hyperbolic automorphism has no interior fixed point for the adjoint checks
     with pytest.raises(DomainError):
-        interior_fixed_point(MobiusMap(1, 0.5, 0.5, 1))
+        adjoint_kernel_checks(CompositionOperator(MobiusMap(1, 0.5, 0.5, 1), 16))
 
 
 def test_conjugate_by_involution_moves_fixed_points():
     # rotation fixes 0; conjugating by phi_a moves the interior fixed point to a
     a = 0.3 + 0.2j
     m = conjugate_by_involution(rotation(1j), a)
-    assert interior_fixed_point(m) == pytest.approx(a)
+    assert classify(m).center == pytest.approx(a)
 
 
 # -- near the unit circle -------------------------------------------------------
+
+
+def _near_margin_ratios(rng, count):
+    """|d|/|c| within 8 ulp of 1 + POLE_MARGIN, where the pole rule decides."""
+    return (1 + POLE_MARGIN) * (1 + rng.integers(-8, 9, count) * 2.0**-52)
+
+
+def test_one_pole_rule_near_the_margin():
+    # |d| > (1 + m)|c| and its square disagreed on about 2 % of these pairs
+    rng = np.random.default_rng(2718)
+    for ratio in _near_margin_ratios(rng, 4000):
+        c = rng.uniform(0.1, 0.9) * cmath.exp(2j * math.pi * rng.random())
+        d = ratio * abs(c) * cmath.exp(2j * math.pi * rng.random())
+        f = MobiusMap(1, 0.5, c, d)
+        assert pole_outside_closed_disk(f.c, f.d) == (mobius._image_disk(f) is not None)
+
+
+def test_a_selfmap_near_the_margin_expands():
+    # automorphisms lam (z - p)/(1 - conj(p) z) with 1/|p| at the margin: every
+    # one that passes is_disk_selfmap has a Taylor expansion
+    rng = np.random.default_rng(2719)
+    selfmaps = 0
+    for ratio in _near_margin_ratios(rng, 2000):
+        p = cmath.exp(2j * math.pi * rng.random()) / ratio
+        lam = cmath.exp(2j * math.pi * rng.random())
+        f = MobiusMap(lam, -lam * p, -p.conjugate(), 1)
+        if is_disk_selfmap(f):
+            selfmaps += 1
+            power_columns(f.coefficients, 4, 4)
+    assert 0 < selfmaps < 2000
 
 
 def _check_automorphism(m, kind, order):

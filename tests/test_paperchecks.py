@@ -11,7 +11,7 @@ from csymcomp.backend import power_columns, reciprocal
 from csymcomp.cli import TOL_SERIES
 from csymcomp.compop import CompositionOperator
 from csymcomp.errors import DomainError
-from csymcomp.hardy import H2Series, constant, evaluate, multiply
+from csymcomp.hardy import H2Series, constant, multiply
 from csymcomp.mobius import elliptic, involution
 from csymcomp.paperchecks import (
     _DELTA_TERMS,
@@ -30,6 +30,8 @@ from csymcomp.paperchecks import (
     order3_truncation,
     schroeder_sigma,
 )
+
+from helpers import evaluate
 
 TOL = 1e-8
 
@@ -209,6 +211,16 @@ def test_gap_closed_form_at_half():
     assert rep.residual < 1e-8
     assert rep.beta_residual < 1e-10
     assert rep.gap > 0
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e-9, 1e-3, 0.3, 0.5 + 0.2j, 0.7, 0.95])
+def test_gap_split_meets_the_closed_form(a):
+    # sum_{m>=1} |f_m|^2 - 2|a|^2 (1+|a|^2)(1-|a|^4) has no cancellation, so the
+    # gap keeps its digits down to |a| = 1e-12, where ||f||^2 - rhs reads 0
+    rep = gap_report(build_order3_witness(a))
+    assert rep.gap == pytest.approx(rep.expected_gap, rel=1e-14)
+    assert rep.gap > 0
+    assert rep.f0_residual <= 1e-15
 
 
 def test_gap_report_near_zero_centre():
